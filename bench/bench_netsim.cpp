@@ -10,8 +10,8 @@
 //     collapsed to ~0.2x; the calendar queue must not).
 //  2. ORDER BIT-IDENTITY — the calendar EventQueue must fire randomized
 //     schedules (including events scheduled from inside callbacks, and
-//     past-time clamping) in exactly the order of the retained
-//     HeapEventQueue oracle.
+//     past-time clamping) in exactly the order of the HeapEventQueue
+//     oracle (tests/oracles/heap_event_queue.h).
 //  3. CHURN ACCOUNTING — on a topology under connect/disconnect churn,
 //     sent == delivered + dropped, every flow's emitted() matches the
 //     network's accepted sends (emitted + errors = attempts), and the
@@ -27,14 +27,15 @@
 #include <vector>
 
 #include "netsim/flow.h"
-#include "netsim/heap_event_queue.h"
 #include "netsim/network.h"
+#include "oracles/heap_event_queue.h"
 #include "util/rng.h"
 
 namespace {
 
 using namespace lexfor;
 using namespace lexfor::netsim;
+using oracles::HeapEventQueue;
 
 // --- gate 1: throughput flatness ------------------------------------
 

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "legal/process.h"
+#include "oracles/resimulated_traceback.h"
 #include "stream/online_despread.h"
 #include "stream/tap_session.h"
 #include "tornet/traceback.h"
@@ -187,10 +188,10 @@ int main() {
 
   // Gate 4: single-pass multi-tap collection.  run_streaming_traceback
   // taps every candidate flow through one stream::TapRegistry during
-  // ONE simulation pass; the per-suspect re-simulation loop is the
-  // reference.  Results must be bit-identical and the pass count must
-  // not scale with the suspect count — that is the whole point of the
-  // registry.
+  // ONE simulation pass; the per-suspect re-simulation loop
+  // (tests/oracles/resimulated_traceback.h) is the reference.  Results
+  // must be bit-identical and the pass count must not scale with the
+  // suspect count — that is the whole point of the registry.
   {
     using clock = std::chrono::steady_clock;
     std::printf("\nsingle-pass tap registry vs per-suspect re-simulation\n");
@@ -209,10 +210,8 @@ int main() {
       const auto t0 = clock::now();
       const auto single = lexfor::tornet::run_streaming_traceback(cfg).value();
       const auto t1 = clock::now();
-      auto ref_cfg = cfg;
-      ref_cfg.resimulate_per_suspect = true;
       const auto reference =
-          lexfor::tornet::run_streaming_traceback(ref_cfg).value();
+          lexfor::oracles::resimulated_traceback(cfg).value();
       const auto t2 = clock::now();
 
       pass_count_ok = pass_count_ok && single.sim_passes == 1 &&

@@ -19,9 +19,10 @@
 #include <cstdlib>
 #include <vector>
 
+#include "oracles/naive_scan.h"
 #include "tornet/traceback.h"
 #include "util/rng.h"
-#include "watermark/dsss.h"
+#include "watermark/correlate.h"
 
 namespace {
 
@@ -116,7 +117,7 @@ int main() {
   }
 
   // Series 4: alignment-free detection.  When the observer does not know
-  // the embed start, detect_with_scan slides the code over candidate
+  // the embed start, CorrelationKernel::scan slides the code over candidate
   // offsets with a Bonferroni-adjusted threshold; this measures the
   // price of that uncertainty versus perfectly aligned detection.
   std::printf("\nSeries 4: aligned vs offset-scan detection vs noise "
@@ -124,7 +125,7 @@ int main() {
   std::printf("%14s %12s %12s\n", "noise sigma", "aligned", "scan(100)");
   {
     const auto code = lexfor::watermark::PnCode::m_sequence(9).value();
-    const lexfor::watermark::Detector det(code, 4.0);
+    const lexfor::watermark::CorrelationKernel det(code, 4.0);
     lexfor::Rng rng{2024};
     for (const double sigma : {10.0, 20.0, 40.0, 60.0, 90.0}) {
       int aligned_ok = 0, scan_ok = 0;
@@ -140,7 +141,7 @@ int main() {
         const std::vector<double> window(
             rates.begin() + static_cast<std::ptrdiff_t>(offset), rates.end());
         aligned_ok += det.detect(window).value().detected;
-        scan_ok += det.detect_with_scan(rates, 100).value().best.detected;
+        scan_ok += det.scan(rates, 100).value().best.detected;
       }
       std::printf("%14.0f %12.2f %12.2f\n", sigma,
                   static_cast<double>(aligned_ok) / kTrials,
@@ -148,10 +149,11 @@ int main() {
     }
   }
 
-  // Series 5 / experiment A-SCAN: correlation-kernel scan vs the
-  // retained naive reference.  Self-verifying: the two scans must agree
-  // bit for bit on every trial AND the kernel must beat the reference's
-  // per-offset cost, or the bench exits non-zero and fails the harness.
+  // Series 5 / experiment A-SCAN: correlation-kernel scan vs the naive
+  // scan oracle (tests/oracles/naive_scan.h).  Self-verifying: the two
+  // scans must agree bit for bit on every trial AND the kernel must beat
+  // the reference's per-offset cost, or the bench exits non-zero and
+  // fails the harness.
   std::printf("\nSeries 5 (A-SCAN): kernel vs naive reference offset scan "
               "(single core)\n");
   std::printf("%8s %8s %12s %14s %14s %10s\n", "degree", "offsets", "reps",
@@ -163,7 +165,7 @@ int main() {
     lexfor::Rng rng{4242};
     for (const int degree : {8, 10, 12}) {
       const auto code = lexfor::watermark::PnCode::m_sequence(degree).value();
-      const lexfor::watermark::Detector det(code, 5.0);
+      const lexfor::watermark::CorrelationKernel det(code, 5.0);
       const std::size_t max_offset = 256;
       std::vector<double> rates;
       for (std::size_t i = 0; i < max_offset / 2; ++i) {
@@ -180,9 +182,10 @@ int main() {
       const int reps = degree >= 12 ? 20 : 60;
 
       // Correctness gate first: bit-identical ScanResult.
-      const auto ref = det.detect_with_scan_reference(rates, max_offset)
+      const auto ref = lexfor::oracles::naive_scan(code, 5.0, rates,
+                                                   max_offset)
                            .value();
-      const auto ker = det.detect_with_scan(rates, max_offset).value();
+      const auto ker = det.scan(rates, max_offset).value();
       const bool identical =
           ref.offset == ker.offset &&
           ref.best.detected == ker.best.detected &&
@@ -195,14 +198,13 @@ int main() {
       double sink = 0.0;  // defeat dead-code elimination
       const auto t0 = clock::now();
       for (int r = 0; r < reps; ++r) {
-        sink += det.detect_with_scan_reference(rates, max_offset)
+        sink += lexfor::oracles::naive_scan(code, 5.0, rates, max_offset)
                     .value()
                     .best.correlation;
       }
       const auto t1 = clock::now();
       for (int r = 0; r < reps; ++r) {
-        sink += det.detect_with_scan(rates, max_offset).value()
-                    .best.correlation;
+        sink += det.scan(rates, max_offset).value().best.correlation;
       }
       const auto t2 = clock::now();
       const double ref_ns =

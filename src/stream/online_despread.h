@@ -29,8 +29,8 @@
 // threshold, offset, and decision — to
 // CorrelationKernel::scan(series, max_offset) on any batch series whose
 // first max_offset + n bins equal the streamed ones; for max_offset = 0
-// that is Detector::detect on the same window.  The batch path stays
-// the oracle: this class holds no scoring math of its own, only the
+// that is CorrelationKernel::detect on the same window.  The batch path
+// stays the oracle: this class holds no scoring math of its own, only the
 // bookkeeping to feed the kernel incrementally.  Peak memory is
 // n + max_offset doubles — O(code length + offset window), independent
 // of stream length, allocated once in the constructor.
@@ -68,7 +68,9 @@ class OnlineDespreader {
   // The kernel must outlive this despreader (same lifetime rule as
   // ScanJob).  `max_offset` fixes the candidate window — and therefore
   // the Bonferroni threshold AND the memory footprint
-  // (kernel.length() + max_offset doubles) — at construction.
+  // (kernel.length() + max_offset doubles) — at construction.  The
+  // caller guarantees that sum does not overflow std::size_t;
+  // TapSession::create refuses a config that would.
   OnlineDespreader(const watermark::CorrelationKernel& kernel,
                    std::size_t max_offset);
 

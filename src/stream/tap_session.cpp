@@ -1,5 +1,6 @@
 #include "stream/tap_session.h"
 
+#include <cstdint>
 #include <string>
 #include <utility>
 
@@ -9,13 +10,21 @@ namespace lexfor::stream {
 
 namespace {
 
-// Admission shared by both create overloads: evaluate the scenario,
-// check the held authority, emit the audit record.  Returns the
-// determination on admit, the refusal status otherwise — and in the
-// refusal case the caller has allocated NOTHING yet.
-Result<legal::Determination> admit(const TapSessionConfig& config) {
+// Admission shared by both create overloads: validate the config,
+// evaluate the scenario, check the held authority, emit the audit
+// record.  Returns the determination on admit, the refusal status
+// otherwise — and in the refusal case the caller has allocated NOTHING
+// yet.
+Result<legal::Determination> admit(const watermark::CorrelationKernel& kernel,
+                                   const TapSessionConfig& config) {
   if (!config.target.valid()) {
     return InvalidArgument("TapSession: target node is invalid");
+  }
+  // The despread window holds kernel.length() + max_offset doubles; a
+  // max_offset that wraps that sum would size the window too small.
+  if (config.max_offset > SIZE_MAX - kernel.length()) {
+    return InvalidArgument(
+        "TapSession: max_offset overflows the despread window");
   }
 
   // Legal gate first: nothing is allocated for a session the engine or
@@ -51,7 +60,7 @@ Result<legal::Determination> admit(const TapSessionConfig& config) {
 
 Result<TapSession> TapSession::create(
     const watermark::CorrelationKernel& kernel, TapSessionConfig config) {
-  auto admission = admit(config);
+  auto admission = admit(kernel, config);
   if (!admission.ok()) return admission.status();
 
   auto ring = RateRing::create(config.ring);
@@ -66,7 +75,7 @@ Result<TapSession> TapSession::create(
   // Admission before ANY arena carve: a refused tap leaves the arena
   // untouched (TapRegistry relies on this to keep its slab exactly
   // sized to the admitted taps).
-  auto admission = admit(config);
+  auto admission = admit(kernel, config);
   if (!admission.ok()) return admission.status();
   if (config.ring.capacity == 0) {
     return InvalidArgument("RateRing: capacity must be positive");

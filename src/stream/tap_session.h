@@ -69,7 +69,9 @@ class TapSession {
  public:
   // The legal gate.  Evaluates `config.scenario`, checks the authority,
   // and refuses (PermissionDenied / InvalidArgument) before any
-  // recording state is allocated.  The kernel must outlive the session.
+  // recording state is allocated.  An invalid target, or a max_offset
+  // for which kernel.length() + max_offset overflows, is
+  // InvalidArgument.  The kernel must outlive the session.
   [[nodiscard]] static Result<TapSession> create(
       const watermark::CorrelationKernel& kernel, TapSessionConfig config);
 

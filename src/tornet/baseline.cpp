@@ -42,7 +42,7 @@ Result<PassiveResult> run_passive_correlation(const PassiveConfig& config) {
       rate_series(suspect_sends, config.window_sec, windows);
 
   // Scoring goes through the one repo-wide implementation (bit-identical
-  // to the retained util::pearson reference; asserted in tests and
+  // to the pearson oracle in tests/oracles/; asserted in tests and
   // gated in bench_baseline).
   result.correlations.push_back(watermark::CorrelationKernel::cross_score(
       server_series, rate_series(suspect_arrivals, config.window_sec, windows)));

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <functional>
 
-#include "stream/online_despread.h"
 #include "stream/tap_registry.h"
 #include "watermark/correlate.h"
+#include "watermark/dsss.h"
 #include "watermark/gold_code.h"
 #include "watermark/scan_batch.h"
 
@@ -26,79 +26,91 @@ legal::Scenario collection_scenario() {
 
 namespace {
 
-// Phase 1 of the experiment: simulate suspect + decoy flows through the
-// anonymity network and bin the ISP-side arrivals into one flat rate
-// buffer (one n_chips slice per flow, suspect first).  Shared between
-// the batch and streaming tracebacks so both detect over IDENTICAL
-// bins.  Flow i draws exclusively from Rng::sub_stream(config.seed, i):
-// a counter-derived stream, so each flow's randomness is independent of
-// every other flow's existence and the loop can later fan out across
-// threads without changing a single bin.
-// Simulates flows [flow_begin, flow_end) and writes each flow's n_chips
-// bins at rates[(flow - flow_begin) * n_chips].  Because flow i draws
-// from Rng::sub_stream(config.seed, i), a flow's bins are the same
-// whether its pass simulates one flow or all of them — that equality is
-// what lets the per-suspect reference loop and the single-pass registry
-// produce bit-identical series.
-Status simulate_flow_range(const TracebackConfig& config,
-                           const watermark::PnCode& code,
-                           std::size_t flow_begin, std::size_t flow_end,
-                           std::vector<double>& rates) {
-  const std::size_t n_chips = code.length();
-  const double chip_sec = config.chip_ms * 1e-3;
+// What every traceback variant observes of one flow: the chip width,
+// the mark depth, the server's send rate, and how many chips are binned.
+struct FlowShape {
+  double chip_ms = 0.0;
+  double depth = 0.0;
+  double base_rate_pps = 0.0;
+  std::size_t n_chips = 0;
+};
+
+// The investigator's mark: `code` modulating the server's send rate
+// from t = 0, one chip per chip window.
+watermark::Embedder make_mark(const watermark::PnCode& code,
+                              const FlowShape& shape) {
+  watermark::EmbedParams params;
+  params.start = SimTime::zero();
+  params.chip_duration = SimDuration::from_ms(shape.chip_ms);
+  params.depth = shape.depth;
+  return watermark::Embedder(code, params);
+}
+
+// The one flow simulation behind run_traceback, run_streaming_traceback
+// and run_multiflow_traceback: build a circuit, draw the server's
+// Poisson sends (rate-modulated by `mark` when it is non-null), carry
+// them through the circuit, and bin the client-side arrivals into
+// shape.n_chips chip windows written to `out`.  Every random draw comes
+// from `rng`, in that order.  Each step is a call into
+// anonymity_network.cpp, so the loop stays in this file.
+Status simulate_flow(const AnonymityNetwork& net, const FlowShape& shape,
+                     const watermark::Embedder* mark, Rng& rng, double* out) {
+  const double chip_sec = shape.chip_ms * 1e-3;
   // Generate past the code window so late (jittered) packets still land
   // in their chip bins.
-  const double t_end = chip_sec * static_cast<double>(n_chips) + 2.0;
-
-  watermark::EmbedParams embed_params;
-  embed_params.start = SimTime::zero();
-  embed_params.chip_duration = SimDuration::from_ms(config.chip_ms);
-  embed_params.depth = config.depth;
-  const watermark::Embedder embedder(code, embed_params);
-
-  AnonymityNetwork net(config.network);
-
-  rates.resize((flow_end - flow_begin) * n_chips);
-  const double hops = static_cast<double>(config.network.circuit_length);
+  const double t_end = chip_sec * static_cast<double>(shape.n_chips) + 2.0;
   // The mean circuit delay shifts every packet; align the observation
   // window at the expected shift (the investigator calibrates this by
   // measuring circuit RTT, which is observable without content).
+  const TorConfig& tor = net.config();
   const double expected_shift_sec =
-      hops *
-      (config.network.hop_latency_ms + config.network.relay_jitter_ms +
-       config.network.relay_batch_ms / 2.0) *
+      static_cast<double>(tor.circuit_length) *
+      (tor.hop_latency_ms + tor.relay_jitter_ms + tor.relay_batch_ms / 2.0) *
       1e-3;
 
-  for (std::size_t flow = flow_begin; flow < flow_end; ++flow) {
-    const bool marked = flow == 0;  // the suspect's flow carries the mark
-    Rng flow_rng = Rng::sub_stream(config.seed, flow);
-    auto circuit_r = net.build_circuit(flow_rng);
-    if (!circuit_r.ok()) return circuit_r.status();
-
-    std::function<double(double)> mult;
-    if (marked) {
-      mult = [&embedder](double t_sec) {
-        return embedder.multiplier(SimTime::from_sec(t_sec));
-      };
-    }
-    const auto sends = generate_modulated_poisson(
-        config.base_rate_pps, t_end, 1.0 + config.depth, mult, flow_rng);
-    const auto arrivals = net.transit(circuit_r.value(), sends, flow_rng);
-    const auto bins =
-        bin_arrivals(arrivals, expected_shift_sec, chip_sec, n_chips);
-    double* out = rates.data() + (flow - flow_begin) * n_chips;
-    for (std::size_t i = 0; i < n_chips; ++i) {
-      out[i] = static_cast<double>(bins[i]);
-    }
+  auto circuit_r = net.build_circuit(rng);
+  if (!circuit_r.ok()) return circuit_r.status();
+  std::function<double(double)> multiplier;
+  if (mark != nullptr) {
+    multiplier = [mark](double t_sec) {
+      return mark->multiplier(SimTime::from_sec(t_sec));
+    };
   }
+  const auto sends = generate_modulated_poisson(
+      shape.base_rate_pps, t_end, 1.0 + shape.depth, multiplier, rng);
+  const auto arrivals = net.transit(circuit_r.value(), sends, rng);
+  const auto bins =
+      bin_arrivals(arrivals, expected_shift_sec, chip_sec, shape.n_chips);
+  std::copy(bins.begin(), bins.end(), out);
   return Status::Ok();
 }
 
-// Phase 1 as the batch traceback uses it: every flow, one pass.
+// Phase 1 of both tracebacks: simulate suspect + decoy flows in ONE
+// pass and bin the ISP-side arrivals into one flat rate buffer (one
+// n_chips slice per flow, suspect first), so the batch and streaming
+// paths detect over IDENTICAL bins.  Flow i draws exclusively from
+// Rng::sub_stream(config.seed, i): a counter-derived stream, so each
+// flow's bins are the same whether a pass simulates it alone or with
+// every other flow — the equality the per-suspect resimulation oracle
+// checks bit for bit.
 Status simulate_flow_rates(const TracebackConfig& config,
                            const watermark::PnCode& code,
                            std::vector<double>& rates) {
-  return simulate_flow_range(config, code, 0, 1 + config.num_decoys, rates);
+  const FlowShape shape{config.chip_ms, config.depth, config.base_rate_pps,
+                        code.length()};
+  const watermark::Embedder mark = make_mark(code, shape);
+  const AnonymityNetwork net(config.network);
+  const std::size_t num_flows = 1 + config.num_decoys;
+  rates.resize(num_flows * shape.n_chips);
+  for (std::size_t flow = 0; flow < num_flows; ++flow) {
+    Rng flow_rng = Rng::sub_stream(config.seed, flow);
+    // The suspect's flow (flow 0) carries the mark.
+    const Status sim =
+        simulate_flow(net, shape, flow == 0 ? &mark : nullptr, flow_rng,
+                      rates.data() + flow * shape.n_chips);
+    if (!sim.ok()) return sim;
+  }
+  return Status::Ok();
 }
 
 // The court order the streaming taps are admitted under: pen/trap-style
@@ -148,7 +160,6 @@ Result<TracebackResult> run_traceback(const TracebackConfig& config) {
   const Status sim = simulate_flow_rates(config, code, rates);
   if (!sim.ok()) return sim;
   result.sim_passes = 1;
-  result.flows_simulated = num_flows;
 
   // Phase 2 — detection, fanned out: one kernel (one code), one scan
   // job per flow, merged back in input order.  max_offset 0 keeps the
@@ -186,35 +197,11 @@ Result<TracebackResult> run_streaming_traceback(const TracebackConfig& config) {
   const std::size_t num_flows = 1 + config.num_decoys;
   const watermark::CorrelationKernel kernel(code, config.threshold_sigmas);
 
-  if (config.resimulate_per_suspect) {
-    // Reference loop: one simulation pass per candidate, exactly what a
-    // per-suspect investigation would run.  sub_stream re-seeding makes
-    // each pass's bins identical to the single-pass run's slice for
-    // that flow, so the registry path below must (and does) match this
-    // bit for bit — the property the tests and A-STREAM gate pin.
-    std::vector<double> flow_rates;
-    for (std::size_t flow = 0; flow < num_flows; ++flow) {
-      const Status sim =
-          simulate_flow_range(config, code, flow, flow + 1, flow_rates);
-      if (!sim.ok()) return sim;
-      ++result.sim_passes;
-      ++result.flows_simulated;
-
-      stream::OnlineDespreader despreader(kernel, /*max_offset=*/0);
-      for (std::size_t i = 0; i < n_chips; ++i) {
-        (void)despreader.push(flow_rates[i]);
-      }
-      accumulate_flow_verdict(result, flow, despreader.verdict().scan.best);
-    }
-    return result;
-  }
-
-  // Single pass: simulate every flow once...
+  // Simulate every flow once...
   std::vector<double> rates;
   const Status sim = simulate_flow_rates(config, code, rates);
   if (!sim.ok()) return sim;
   result.sim_passes = 1;
-  result.flows_simulated = num_flows;
 
   // ...then tap every candidate through one TapRegistry.  Each tap is
   // admitted per suspect — the §IV.B collection posture, evaluated
@@ -253,10 +240,6 @@ Result<TracebackResult> run_streaming_traceback(const TracebackConfig& config) {
   return result;
 }
 
-}  // namespace lexfor::tornet
-
-namespace lexfor::tornet {
-
 Result<MultiflowResult> run_multiflow_traceback(const MultiflowConfig& config) {
   if (config.true_account >= config.num_accounts) {
     return InvalidArgument(
@@ -271,44 +254,19 @@ Result<MultiflowResult> run_multiflow_traceback(const MultiflowConfig& config) {
         "family");
   }
 
-  const std::size_t n_chips = family.code_length();
-  const double chip_sec = config.chip_ms * 1e-3;
-  const double t_end = chip_sec * static_cast<double>(n_chips) + 2.0;
-
-  AnonymityNetwork net(config.network);
-  Rng rng(config.seed);
-
   // The observed client carries the flow marked with the TRUE account's
   // code.  (The other accounts' flows go to other clients; since flows
   // are independent Poisson processes, simulating them would not change
   // what this client's tap sees.)
-  watermark::EmbedParams embed_params;
-  embed_params.start = SimTime::zero();
-  embed_params.chip_duration = SimDuration::from_ms(config.chip_ms);
-  embed_params.depth = config.depth;
-  const watermark::Embedder embedder(family.code(config.true_account),
-                                     embed_params);
-
-  auto circuit_r = net.build_circuit(rng);
-  if (!circuit_r.ok()) return circuit_r.status();
-
-  const auto sends = generate_modulated_poisson(
-      config.base_rate_pps, t_end, 1.0 + config.depth,
-      [&embedder](double t_sec) {
-        return embedder.multiplier(SimTime::from_sec(t_sec));
-      },
-      rng);
-  const auto arrivals = net.transit(circuit_r.value(), sends, rng);
-
-  const double hops = static_cast<double>(config.network.circuit_length);
-  const double expected_shift_sec =
-      hops *
-      (config.network.hop_latency_ms + config.network.relay_jitter_ms +
-       config.network.relay_batch_ms / 2.0) *
-      1e-3;
-  const auto bins =
-      bin_arrivals(arrivals, expected_shift_sec, chip_sec, n_chips);
-  std::vector<double> rates(bins.begin(), bins.end());
+  const FlowShape shape{config.chip_ms, config.depth, config.base_rate_pps,
+                        family.code_length()};
+  const watermark::Embedder mark =
+      make_mark(family.code(config.true_account), shape);
+  const AnonymityNetwork net(config.network);
+  Rng rng(config.seed);
+  std::vector<double> rates(shape.n_chips);
+  const Status sim = simulate_flow(net, shape, &mark, rng, rates.data());
+  if (!sim.ok()) return sim;
 
   // One tap, every account's code: a kernel per Gold code, all scanning
   // the SAME rate series in one batch.  Account order is preserved by

@@ -15,7 +15,7 @@
 
 #include "legal/engine.h"
 #include "tornet/anonymity_network.h"
-#include "watermark/dsss.h"
+#include "watermark/correlate.h"
 
 namespace lexfor::tornet {
 
@@ -37,12 +37,6 @@ struct TracebackConfig {
   // changes (see EXPERIMENTS.md for the one-time output shift this
   // re-seeding caused).
   unsigned detect_threads = 0;
-  // Reference mode for run_streaming_traceback: simulate each candidate
-  // flow in its OWN pass (sim_passes == flow count) instead of tapping
-  // every candidate during one pass through stream::TapRegistry.  The
-  // sub_stream re-seeding above makes the two modes bit-identical —
-  // which the single-pass claim is tested and gated against.
-  bool resimulate_per_suspect = false;
 };
 
 struct FlowVerdict {
@@ -59,14 +53,11 @@ struct TracebackResult {
   // Legal posture of the collection step (non-content at the ISP): the
   // engine must report a court order suffices, matching §IV.B.
   legal::Determination collection_legality;
-  // Simulation accounting for the streaming traceback's single-pass
-  // claim: the TapRegistry path reports sim_passes == 1 for ANY number
-  // of candidate flows; the resimulate_per_suspect reference loop
-  // reports one pass per flow.  flows_simulated counts flows generated
-  // across all passes (identical in both modes).  run_traceback also
-  // fills these (always one pass).
+  // Simulation passes the run made: 1 for ANY number of candidate
+  // flows, in both run_traceback and run_streaming_traceback — the
+  // single-pass claim the tests and benchmarks gate.  The per-suspect
+  // resimulation oracle (tests/oracles/) reports one pass per flow.
   std::size_t sim_passes = 0;
-  std::size_t flows_simulated = 0;
 };
 
 // The legal scenario for the collection side: real-time non-content rate
@@ -88,9 +79,9 @@ struct TracebackResult {
 // internally-constructed court order BEFORE any tap state exists.
 // Bit-identical to run_traceback on every flow verdict (the online
 // despreader is bit-identical to the batch kernel; the batch path stays
-// the oracle), and bit-identical to the resimulate_per_suspect
-// reference loop — the single-pass fan-out changes the number of
-// simulation passes (see TracebackResult::sim_passes), never a bin.
+// the oracle), and bit-identical to resimulating each suspect in its
+// own pass (the oracle in tests/oracles/) — the single-pass fan-out
+// changes the number of simulation passes, never a bin.
 [[nodiscard]] Result<TracebackResult> run_streaming_traceback(
     const TracebackConfig& config);
 

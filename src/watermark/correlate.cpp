@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <string>
 
 #include "obs/obs.h"
 
@@ -60,7 +61,7 @@ inline void seq_correlate(const double* x, const double* c, std::size_t n,
 
 // Fused Pearson pass: cov/va/vb are three independent accumulator
 // chains, each advancing in naive sequential order — bit-identical to
-// the util::pearson reference loop.
+// the naive pearson oracle loop.
 inline void seq_cross(const double* a, const double* b, std::size_t n,
                       double ma, double mb, double& cov_out, double& va_out,
                       double& vb_out) noexcept {
@@ -149,14 +150,7 @@ std::uint64_t ulp_distance(double a, double b) noexcept {
 
 double CorrelationKernel::despread(const double* x, std::size_t code_begin,
                                    std::size_t len) const noexcept {
-  return despread_presummed(x, code_begin, len, seq_sum(x, len));
-}
-
-double CorrelationKernel::despread_presummed(const double* x,
-                                             std::size_t code_begin,
-                                             std::size_t len,
-                                             double sum) const noexcept {
-  const double mean = sum / static_cast<double>(len);
+  const double mean = seq_sum(x, len) / static_cast<double>(len);
   double num = 0.0, denom = 0.0;
   seq_correlate(x, chips_f64_.data() + code_begin, len, mean, num, denom);
   if (denom <= 0.0) return 0.0;  // a flat window carries no mark
@@ -201,42 +195,54 @@ Result<DetectionResult> CorrelationKernel::detect(
   return r;
 }
 
+Result<CorrelationKernel::ScanPlan> CorrelationKernel::plan_scan(
+    std::size_t series_length, std::size_t max_offset, std::size_t code_begin,
+    std::size_t code_length) const {
+  const std::size_t length = chips_f64_.size();
+  const std::size_t n = code_length == 0 ? length : code_length;
+  // Two comparisons, not code_begin + n > length: the sum wraps for a
+  // segment near SIZE_MAX and would pass the check.
+  if (code_begin > length || n > length - code_begin) {
+    return InvalidArgument("scan: code segment of " + std::to_string(n) +
+                           " chips at chip " + std::to_string(code_begin) +
+                           " exceeds the code length " +
+                           std::to_string(length));
+  }
+  if (series_length < n) {
+    return InvalidArgument("scan: series shorter than the code");
+  }
+  ScanPlan plan;
+  plan.n = n;
+  plan.last_offset = std::min(max_offset, series_length - n);
+  // Bonferroni correction: scanning k offsets multiplies the null
+  // false-positive probability by ~k, so inflate the threshold by
+  // sqrt(2 ln k) sigma.
+  plan.threshold = scan_threshold(plan.last_offset + 1, n);
+  return plan;
+}
+
 Result<ScanResult> CorrelationKernel::scan(std::span<const double> rates,
                                            std::size_t max_offset,
                                            std::size_t code_begin,
                                            std::size_t code_length) const {
-  const std::size_t n = code_length == 0 ? chips_f64_.size() : code_length;
-  if (code_begin + n > chips_f64_.size()) {
-    return InvalidArgument("scan: code segment [" +
-                           std::to_string(code_begin) + ", " +
-                           std::to_string(code_begin + n) +
-                           ") exceeds the code length " +
-                           std::to_string(chips_f64_.size()));
-  }
-  if (rates.size() < n) {
-    return InvalidArgument("detect_with_scan: series shorter than the code");
-  }
-  const std::size_t last_offset = std::min(max_offset, rates.size() - n);
+  auto plan_r = plan_scan(rates.size(), max_offset, code_begin, code_length);
+  if (!plan_r.ok()) return plan_r.status();
+  const ScanPlan& plan = plan_r.value();
 
   LEXFOR_OBS_PROFILE("watermark.kernel.scan");
 
-  // Bonferroni correction, identical to the naive reference: scanning k
-  // offsets multiplies the null false-positive probability by ~k, so
-  // inflate the threshold by sqrt(2 ln k) sigma.
-  const double threshold = scan_threshold(last_offset + 1, n);
-
   ScanResult best;
   best.best.correlation = -2.0;  // below any achievable value
-  best.best.threshold = threshold;
+  best.best.threshold = plan.threshold;
   const double* x = rates.data();
-  for (std::size_t off = 0; off <= last_offset; ++off) {
-    const double corr = despread(x + off, code_begin, n);
+  for (std::size_t off = 0; off <= plan.last_offset; ++off) {
+    const double corr = despread(x + off, code_begin, plan.n);
     if (corr > best.best.correlation) {
       best.best.correlation = corr;
       best.offset = off;
     }
   }
-  best.best.detected = best.best.correlation > threshold;
+  best.best.detected = best.best.correlation > plan.threshold;
   return best;
 }
 

@@ -4,10 +4,11 @@
 // flow an ISP vantage point observes, and alignment-free detection runs
 // it at every candidate offset of every flow.  The original scan path
 // copied the tail of the rate series into a fresh vector per offset and
-// recomputed the statistics from scratch through the allocating
-// Detector::detect — O(k·n) flops buried under O(k·tail) copies and k
-// heap allocations.  CorrelationKernel is the allocation-free core both
-// Detector and the batch fan-out (scan_batch.h) sit on:
+// recomputed the statistics from scratch — O(k·n) flops buried under
+// O(k·tail) copies and k heap allocations.  CorrelationKernel is the
+// one scoring path: ScanBatch (scan_batch.h) fans its scans out across
+// threads, stream::OnlineDespreader feeds it one bin at a time, and the
+// multibit decoder scores code segments with it.
 //
 //   * the PN code is pre-converted once into a contiguous ±1.0 double
 //     buffer, so the despread loop is a straight-line dot product with
@@ -16,13 +17,13 @@
 //     over that buffer, read the observed series in place through
 //     std::span, and never allocate;
 //   * per-offset work is exactly the two passes the aligned detector
-//     does — nothing else.  No window copy, no obs emission, no
-//     detector re-construction inside the loop.
+//     does — nothing else.  No window copy, no obs emission inside the
+//     loop.
 //
-// Bit-identity contract: score(), scan() and despread() perform the
+// Bit-identity contract: detect(), scan() and despread() perform the
 // SAME floating-point operations in the SAME order as the naive
-// per-offset reference (Detector::detect_with_scan_reference) and the
-// historic multibit decoder loop.  The unrolling below keeps a single
+// per-offset scan oracle (tests/oracles/naive_scan.h) and the historic
+// multibit decoder loop.  The unrolling below keeps a single
 // accumulator chain per statistic, so it reorders nothing.  We
 // deliberately rejected a prefix-sum O(1)-per-offset formulation for
 // the mean/denominator: differencing running sums reassociates the
@@ -32,21 +33,22 @@
 // EXPERIMENTS.md.
 //
 // The SIMD lane (scan_simd / despread_simd, correlate_simd.cpp) is the
-// one deliberate exception to that contract, and it is opt-in, never
-// default.  It runs 4–8 independent accumulator chains per statistic
-// (AVX2 4-lane registers × 4-deep unroll, multi-offset lane blocking in
-// scan) over a 64-byte-aligned copy of the chip buffer, which
-// REASSOCIATES the FP additions: scores differ from the scalar lane in
-// the last bits.  Where PR 4 rejected prefix sums outright, the SIMD
-// lane is instead gated the way reassociation can be gated — the scalar
-// path stays the oracle, and the lane ships only under (1) verdict
-// identity (same best offset, same detected flag, bit-identical
-// threshold) and (2) a measured max-ULP distance on the correlation,
-// bounded by kSimdMaxUlp (rationale in DESIGN §15; measured values in
-// EXPERIMENTS A-SIMD, orders of magnitude under the bound).  Callers
-// that need courtroom-reproducible bits — everything that feeds an
-// evidentiary record — use the scalar lane; the SIMD lane exists for
-// wire-speed triage over thousands of candidate flows.
+// one deliberate exception to that contract, and a caller reaches it
+// only by calling scan_simd by name.  It runs 4–8 independent
+// accumulator chains per statistic (AVX2 4-lane registers × 4-deep
+// unroll, multi-offset lane blocking in scan) over a 64-byte-aligned
+// copy of the chip buffer, which REASSOCIATES the FP additions: scores
+// differ from the scalar lane in the last bits.  Where the scalar lane
+// rejects prefix sums outright, the SIMD lane is instead gated the way
+// reassociation can be gated — the scalar path stays the oracle, and
+// the lane ships only under (1) verdict identity (same best offset,
+// same detected flag, bit-identical threshold) and (2) a measured
+// max-ULP distance on the correlation, bounded by kSimdMaxUlp
+// (rationale in DESIGN §15; measured values in EXPERIMENTS A-SIMD,
+// orders of magnitude under the bound).  Callers that need
+// courtroom-reproducible bits — everything that feeds an evidentiary
+// record — use the scalar lane; the SIMD lane exists for wire-speed
+// triage over thousands of candidate flows.
 
 #pragma once
 
@@ -80,7 +82,8 @@ struct ScanResult {
 class CorrelationKernel {
  public:
   // `threshold_sigmas`: decision threshold in units of the null-model
-  // standard deviation 1/sqrt(N); see Detector.
+  // standard deviation 1/sqrt(N) (N = code length).  5 sigma keeps the
+  // false-positive rate negligible for the code lengths used here.
   explicit CorrelationKernel(PnCode code, double threshold_sigmas = 5.0);
 
   // Copies rebuild the arena-backed aligned chip lane; moves are cheap
@@ -118,7 +121,7 @@ class CorrelationKernel {
   // blocking, so they may differ from scan() by up to kSimdMaxUlp ULPs.
   // Falls back to the scalar scan when the lane is unavailable
   // (LEXFOR_SIMD=OFF build, or no AVX2/FMA at runtime), so callers may
-  // call it unconditionally.  Opt-in only: see the header comment.
+  // call it unconditionally.  Never the default: see the header comment.
   [[nodiscard]] Result<ScanResult> scan_simd(std::span<const double> rates,
                                              std::size_t max_offset,
                                              std::size_t code_begin = 0,
@@ -148,19 +151,12 @@ class CorrelationKernel {
   // Segment despread primitive: the normalized, segment-mean-removed
   // correlation of x[0..len) against code chips
   // [code_begin, code_begin + len).  Returns 0.0 for a flat segment.
-  // The caller guarantees code_begin + len <= length().
+  // The caller guarantees code_begin + len <= length().  The window sum
+  // adds x in index order, so stream::OnlineDespreader, which calls this
+  // the moment a window's last bin arrives, scores bit-identically to
+  // scan() over the same bins.
   [[nodiscard]] double despread(const double* x, std::size_t code_begin,
                                 std::size_t len) const noexcept;
-
-  // Same despread with a caller-supplied window sum.  The streaming path
-  // (stream::OnlineDespreader) accumulates the sum incrementally as bins
-  // arrive; adding elements in index order performs the same FP
-  // additions in the same order as the internal sequential sum, so the
-  // result is bit-identical to despread() on the same window.
-  [[nodiscard]] double despread_presummed(const double* x,
-                                          std::size_t code_begin,
-                                          std::size_t len,
-                                          double sum) const noexcept;
 
   // The Bonferroni-inflated decision threshold scan() applies when `k`
   // candidate offsets are tried over a despread window of
@@ -175,9 +171,10 @@ class CorrelationKernel {
   // (the Pearson coefficient): the passive flow-correlation baseline's
   // score, computed with the same sequential-order accumulation loops as
   // the despread above so the repo has exactly one scoring
-  // implementation.  Bit-identical to the naive util::pearson loops
-  // (retained as the test oracle).  Degenerate input — mismatched
-  // lengths, fewer than two samples, zero variance — scores 0.0.
+  // implementation.  Bit-identical to the naive pearson loops kept as
+  // the test oracle (tests/oracles/pearson.h).  Degenerate input —
+  // mismatched lengths, fewer than two samples, zero variance — scores
+  // 0.0.
   [[nodiscard]] static double cross_score(std::span<const double> a,
                                           std::span<const double> b) noexcept;
 
@@ -190,6 +187,19 @@ class CorrelationKernel {
   }
 
  private:
+  // What a scan request resolves to once validated: despread length,
+  // last candidate offset, and the Bonferroni threshold.  Both lanes
+  // get it from plan_scan, so they check and decide identically.
+  struct ScanPlan {
+    std::size_t n = 0;
+    std::size_t last_offset = 0;
+    double threshold = 0.0;
+  };
+  [[nodiscard]] Result<ScanPlan> plan_scan(std::size_t series_length,
+                                           std::size_t max_offset,
+                                           std::size_t code_begin,
+                                           std::size_t code_length) const;
+
   void build_aligned_lane();
 
   PnCode code_;

@@ -37,7 +37,6 @@
 
 #include "watermark/correlate.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "obs/obs.h"
@@ -231,34 +230,23 @@ Result<ScanResult> CorrelationKernel::scan_simd(std::span<const double> rates,
                                                 std::size_t code_length) const {
 #if LEXFOR_SIMD_AVX2
   if (!runtime_cpu_ok()) return scan(rates, max_offset, code_begin, code_length);
-  const std::size_t n = code_length == 0 ? chips_f64_.size() : code_length;
-  if (code_begin + n > chips_f64_.size()) {
-    return InvalidArgument("scan: code segment [" +
-                           std::to_string(code_begin) + ", " +
-                           std::to_string(code_begin + n) +
-                           ") exceeds the code length " +
-                           std::to_string(chips_f64_.size()));
-  }
-  if (rates.size() < n) {
-    return InvalidArgument("detect_with_scan: series shorter than the code");
-  }
-  const std::size_t last_offset = std::min(max_offset, rates.size() - n);
+  // The same validation and threshold as scan(): the SIMD lane
+  // reassociates scores, never the checks or the decision rule.
+  auto plan_r = plan_scan(rates.size(), max_offset, code_begin, code_length);
+  if (!plan_r.ok()) return plan_r.status();
+  const ScanPlan& plan = plan_r.value();
 
   LEXFOR_OBS_PROFILE("watermark.kernel.scan_simd");
 
-  // Identical threshold through the identical code path: the SIMD lane
-  // reassociates scores, never the decision rule.
-  const double threshold = scan_threshold(last_offset + 1, n);
-
   ScanResult best;
   best.best.correlation = -2.0;
-  best.best.threshold = threshold;
+  best.best.threshold = plan.threshold;
   const double* x = rates.data();
   const double* chips = chips_aligned_ + code_begin;
   std::size_t off = 0;
   double lane[4];
-  for (; off + 4 <= last_offset + 1; off += 4) {
-    despread4_avx2(x + off, chips, n, lane);
+  for (; off + 4 <= plan.last_offset + 1; off += 4) {
+    despread4_avx2(x + off, chips, plan.n, lane);
     for (std::size_t k = 0; k < 4; ++k) {
       if (lane[k] > best.best.correlation) {  // strict >: earliest offset wins
         best.best.correlation = lane[k];
@@ -266,14 +254,14 @@ Result<ScanResult> CorrelationKernel::scan_simd(std::span<const double> rates,
       }
     }
   }
-  for (; off <= last_offset; ++off) {
-    const double corr = despread_simd(x + off, code_begin, n);
+  for (; off <= plan.last_offset; ++off) {
+    const double corr = despread_simd(x + off, code_begin, plan.n);
     if (corr > best.best.correlation) {
       best.best.correlation = corr;
       best.offset = off;
     }
   }
-  best.best.detected = best.best.correlation > threshold;
+  best.best.detected = best.best.correlation > plan.threshold;
   return best;
 #else
   return scan(rates, max_offset, code_begin, code_length);

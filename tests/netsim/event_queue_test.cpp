@@ -7,11 +7,13 @@
 #include <utility>
 #include <vector>
 
-#include "netsim/heap_event_queue.h"
+#include "oracles/heap_event_queue.h"
 #include "util/rng.h"
 
 namespace lexfor::netsim {
 namespace {
+
+using oracles::HeapEventQueue;
 
 TEST(EventQueueTest, EventsFireInTimeOrder) {
   EventQueue q;
@@ -125,7 +127,7 @@ TEST(EventQueueTest, WheelGrowsAndShrinksWithLoad) {
 
 // ---- property tests: the calendar queue against the heap oracle ------
 //
-// HeapEventQueue is the pre-ISSUE-8 implementation, retained verbatim.
+// HeapEventQueue (tests/oracles/) is the queue EventQueue replaced.
 // Any observable divergence — firing order, clock, pending counts — is
 // a bug in the calendar queue, so the oracle replays identical scripts.
 

@@ -83,6 +83,29 @@ TEST(TapRegistryTest, RefusedAdmissionLeavesRegistryUntouched) {
   EXPECT_EQ(registry.arena_bytes(), bytes_after_first);
 }
 
+TEST(TapRegistryTest, OverflowingMaxOffsetLeavesRegistryUntouched) {
+  const auto code = PnCode::m_sequence(5).value();
+  const CorrelationKernel kernel(code);
+  TapRegistry registry;
+  ASSERT_TRUE(
+      registry
+          .add_tap(kernel, tap_config(NodeId{1}, SimDuration::from_ms(100.0),
+                                      64))
+          .ok());
+  const std::size_t bytes_after_first = registry.arena_bytes();
+
+  // kernel.length() + max_offset wraps: refused, with no slot and no
+  // arena growth, like a legal refusal.
+  auto cfg = tap_config(NodeId{2}, SimDuration::from_ms(100.0), 64);
+  cfg.max_offset = SIZE_MAX - kernel.length() + 1;
+  const auto refused = registry.add_tap(kernel, cfg);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(registry.size(), 1u);
+  EXPECT_EQ(registry.refused(), 1u);
+  EXPECT_EQ(registry.arena_bytes(), bytes_after_first);
+}
+
 TEST(TapRegistryTest, TapPointersStayStableAcrossGrowth) {
   const auto code = PnCode::m_sequence(5).value();
   const CorrelationKernel kernel(code);

@@ -11,6 +11,7 @@
 
 #include "legal/process.h"
 #include "netsim/flow.h"
+#include "util/arena.h"
 #include "watermark/dsss.h"
 #include "watermark/pn_code.h"
 
@@ -104,6 +105,25 @@ TEST(TapSessionTest, NoProcessHeldIsRefused) {
   const auto session_r = TapSession::create(kernel, cfg);
   ASSERT_FALSE(session_r.ok());
   EXPECT_EQ(session_r.status().code(), StatusCode::kPermissionDenied);
+}
+
+TEST(TapSessionTest, MaxOffsetWhoseWindowOverflowsIsInvalidArgument) {
+  // The despread window is kernel.length() + max_offset doubles; a
+  // max_offset that wraps that sum must be refused by both overloads
+  // before anything is allocated.
+  const auto code = PnCode::m_sequence(5).value();
+  const CorrelationKernel kernel(code);
+  const std::size_t n = kernel.length();
+  for (const std::size_t max_offset : {SIZE_MAX - n + 1, SIZE_MAX}) {
+    auto cfg = base_config(NodeId{1}, SimDuration::from_ms(100.0), 64);
+    cfg.max_offset = max_offset;
+    EXPECT_EQ(TapSession::create(kernel, cfg).status().code(),
+              StatusCode::kInvalidArgument);
+    util::Arena arena;
+    EXPECT_EQ(TapSession::create(kernel, cfg, arena).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(arena.bytes_allocated(), 0u);
+  }
 }
 
 TEST(TapSessionTest, DetectsLiveWatermarkEndToEnd) {

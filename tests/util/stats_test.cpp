@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "oracles/pearson.h"
+
 namespace lexfor {
 namespace {
 
@@ -49,6 +51,10 @@ TEST(PercentileTest, InterpolatesBetweenRanks) {
 TEST(PercentileTest, EmptyReturnsZero) {
   EXPECT_DOUBLE_EQ(percentile({}, 50), 0.0);
 }
+
+// The naive pearson oracle (tests/oracles/) that
+// CorrelationKernel::cross_score must match bit for bit.
+using oracles::pearson;
 
 TEST(PearsonTest, PerfectPositiveCorrelation) {
   const std::vector<double> a{1, 2, 3, 4};

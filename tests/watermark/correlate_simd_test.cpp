@@ -11,11 +11,10 @@
 #include <cstdint>
 #include <vector>
 
+#include "oracles/naive_scan.h"
 #include "util/rng.h"
 #include "watermark/correlate.h"
-#include "watermark/dsss.h"
 #include "watermark/pn_code.h"
-#include "watermark/scan_batch.h"
 
 namespace lexfor::watermark {
 namespace {
@@ -83,6 +82,10 @@ TEST(CorrelateSimdTest, VerdictIdenticalAcrossDegreesAndOffsets) {
         const auto scalar = kernel.scan(rates, max_offset).value();
         const auto simd = kernel.scan_simd(rates, max_offset).value();
         expect_verdict_identical(scalar, simd, "scan_simd vs scan");
+        const auto oracle = oracles::naive_scan(
+            code, kernel.threshold_sigmas(), rates, max_offset);
+        expect_verdict_identical(oracle.value(), simd,
+                                 "scan_simd vs naive scan oracle");
       }
     }
   }
@@ -151,70 +154,6 @@ TEST(CorrelateSimdTest, CopiedKernelKeepsAWorkingLane) {
             std::bit_cast<std::uint64_t>(via_copy.best.correlation));
   EXPECT_EQ(std::bit_cast<std::uint64_t>(want.best.correlation),
             std::bit_cast<std::uint64_t>(via_assign.best.correlation));
-}
-
-TEST(ScanBatchSimdTest, BatchAndPerJobFlagsStayVerdictIdentical) {
-  Rng rng{23};
-  const auto code = PnCode::m_sequence(9).value();
-  const CorrelationKernel kernel(code);
-  std::vector<std::vector<double>> series;
-  for (int i = 0; i < 6; ++i) {
-    series.push_back(random_series(code, 17, 80, i % 2 == 0, 12.0, rng));
-  }
-  std::vector<ScanJob> jobs(series.size());
-  for (std::size_t i = 0; i < series.size(); ++i) {
-    jobs[i].kernel = &kernel;
-    jobs[i].rates = series[i];
-    jobs[i].max_offset = 64;
-  }
-
-  const ScanBatch scalar_batch(ScanBatchOptions{.threads = 2});
-  const auto scalar = scalar_batch.run(jobs);
-
-  // Batch-wide flag.
-  const ScanBatch simd_batch(ScanBatchOptions{.threads = 2, .use_simd = true});
-  const auto batch_wide = simd_batch.run(jobs);
-
-  // Per-job flag under a scalar-default batch.
-  for (auto& job : jobs) job.use_simd = true;
-  const auto per_job = scalar_batch.run(jobs);
-
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    ASSERT_TRUE(scalar[i].ok());
-    ASSERT_TRUE(batch_wide[i].ok());
-    ASSERT_TRUE(per_job[i].ok());
-    expect_verdict_identical(scalar[i].value(), batch_wide[i].value(),
-                             "batch-wide use_simd");
-    expect_verdict_identical(scalar[i].value(), per_job[i].value(),
-                             "per-job use_simd");
-  }
-}
-
-TEST(DetectorSimdTest, DetectConfigRoutesBothLanes) {
-  Rng rng{31};
-  const auto code = PnCode::m_sequence(8).value();
-  const Detector detector(code);
-  const auto rates = random_series(code, 21, 60, true, 8.0, rng);
-
-  const auto plain = detector.detect_with_scan(rates, 48).value();
-  const auto cfg_scalar =
-      detector
-          .detect_with_scan(rates,
-                            Detector::DetectConfig{.max_offset = 48,
-                                                   .use_simd = false})
-          .value();
-  // use_simd = false is the SAME code path, bit for bit.
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(plain.best.correlation),
-            std::bit_cast<std::uint64_t>(cfg_scalar.best.correlation));
-  EXPECT_EQ(plain.offset, cfg_scalar.offset);
-
-  const auto cfg_simd =
-      detector
-          .detect_with_scan(rates,
-                            Detector::DetectConfig{.max_offset = 48,
-                                                   .use_simd = true})
-          .value();
-  expect_verdict_identical(plain, cfg_simd, "DetectConfig use_simd");
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // CorrelationKernel bit-identity: the allocation-free scan must produce
-// the EXACT bits the retained naive reference produces — correlation,
+// the EXACT bits the naive scan oracle produces — correlation,
 // threshold, offset and decision — on randomized series, flat series,
 // short-series errors, and the max_offset clamp edge.
 
@@ -10,11 +10,12 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <vector>
 
+#include "oracles/naive_scan.h"
+#include "oracles/pearson.h"
 #include "util/rng.h"
-#include "util/stats.h"
-#include "watermark/dsss.h"
 
 namespace lexfor::watermark {
 namespace {
@@ -31,6 +32,14 @@ void expect_bit_identical(const ScanResult& kernel, const ScanResult& ref) {
             std::bit_cast<std::uint64_t>(ref.best.threshold))
       << "threshold " << kernel.best.threshold << " vs "
       << ref.best.threshold;
+}
+
+// The oracle scan under the kernel's own code and threshold.
+Result<ScanResult> reference_scan(const CorrelationKernel& kernel,
+                                  std::span<const double> rates,
+                                  std::size_t max_offset) {
+  return oracles::naive_scan(kernel.code(), kernel.threshold_sigmas(), rates,
+                             max_offset);
 }
 
 std::vector<double> random_series(const PnCode& code, std::size_t offset,
@@ -64,9 +73,9 @@ TEST(CorrelationKernelTest, RandomizedScanMatchesReferenceBitForBit) {
         random_series(code, offset, tail, marked, 0.3, sigma, rng);
     const std::size_t max_offset = rng.uniform(80);
 
-    const Detector det(code);
-    const auto kernel_r = det.detect_with_scan(rates, max_offset);
-    const auto ref_r = det.detect_with_scan_reference(rates, max_offset);
+    const CorrelationKernel det(code);
+    const auto kernel_r = det.scan(rates, max_offset);
+    const auto ref_r = reference_scan(det, rates, max_offset);
     ASSERT_TRUE(kernel_r.ok());
     ASSERT_TRUE(ref_r.ok());
     expect_bit_identical(kernel_r.value(), ref_r.value());
@@ -75,10 +84,10 @@ TEST(CorrelationKernelTest, RandomizedScanMatchesReferenceBitForBit) {
 
 TEST(CorrelationKernelTest, FlatSeriesMatchesReference) {
   const auto code = PnCode::m_sequence(7).value();
-  const Detector det(code);
+  const CorrelationKernel det(code);
   const std::vector<double> flat(code.length() + 50, 42.0);
-  const auto kernel_r = det.detect_with_scan(flat, 20).value();
-  const auto ref_r = det.detect_with_scan_reference(flat, 20).value();
+  const auto kernel_r = det.scan(flat, 20).value();
+  const auto ref_r = reference_scan(det, flat, 20).value();
   expect_bit_identical(kernel_r, ref_r);
   EXPECT_DOUBLE_EQ(kernel_r.best.correlation, 0.0);
   EXPECT_FALSE(kernel_r.best.detected);
@@ -87,10 +96,10 @@ TEST(CorrelationKernelTest, FlatSeriesMatchesReference) {
 
 TEST(CorrelationKernelTest, ShortSeriesErrorsMatchReference) {
   const auto code = PnCode::m_sequence(9).value();
-  const Detector det(code);
+  const CorrelationKernel det(code);
   const std::vector<double> short_series(code.length() - 1, 1.0);
-  const auto kernel_r = det.detect_with_scan(short_series, 10);
-  const auto ref_r = det.detect_with_scan_reference(short_series, 10);
+  const auto kernel_r = det.scan(short_series, 10);
+  const auto ref_r = reference_scan(det, short_series, 10);
   EXPECT_FALSE(kernel_r.ok());
   EXPECT_FALSE(ref_r.ok());
   EXPECT_EQ(kernel_r.status().code(), StatusCode::kInvalidArgument);
@@ -100,15 +109,14 @@ TEST(CorrelationKernelTest, ShortSeriesErrorsMatchReference) {
 TEST(CorrelationKernelTest, MaxOffsetClampEdgeMatchesReference) {
   Rng rng{31};
   const auto code = PnCode::m_sequence(7).value();
-  const Detector det(code);
+  const CorrelationKernel det(code);
   const auto rates = random_series(code, 13, 0, true, 0.3, 4.0, rng);
   // rates.size() - n == 13: every max_offset at or past the clamp edge
   // must scan exactly offsets [0, 13] — including the huge ask.
   for (const std::size_t max_offset : {std::size_t{13}, std::size_t{14},
                                        std::size_t{1} << 20}) {
-    const auto kernel_r = det.detect_with_scan(rates, max_offset).value();
-    const auto ref_r =
-        det.detect_with_scan_reference(rates, max_offset).value();
+    const auto kernel_r = det.scan(rates, max_offset).value();
+    const auto ref_r = reference_scan(det, rates, max_offset).value();
     expect_bit_identical(kernel_r, ref_r);
     EXPECT_EQ(kernel_r.offset, 13u);
   }
@@ -117,11 +125,11 @@ TEST(CorrelationKernelTest, MaxOffsetClampEdgeMatchesReference) {
 TEST(CorrelationKernelTest, ExactSizeSeriesScansSingleOffset) {
   Rng rng{33};
   const auto code = PnCode::m_sequence(6).value();
-  const Detector det(code);
+  const CorrelationKernel det(code);
   const auto rates = random_series(code, 0, 0, true, 0.3, 2.0, rng);
   ASSERT_EQ(rates.size(), code.length());
-  const auto kernel_r = det.detect_with_scan(rates, 500).value();
-  const auto ref_r = det.detect_with_scan_reference(rates, 500).value();
+  const auto kernel_r = det.scan(rates, 500).value();
+  const auto ref_r = reference_scan(det, rates, 500).value();
   expect_bit_identical(kernel_r, ref_r);
   // k = 1: no Bonferroni inflation, so the scan threshold equals the
   // aligned detector's.
@@ -132,6 +140,33 @@ TEST(CorrelationKernelTest, ExactSizeSeriesScansSingleOffset) {
             std::bit_cast<std::uint64_t>(aligned.correlation));
 }
 
+TEST(CorrelationKernelTest, ScanRejectsCodeSegmentsPastTheEnd) {
+  // code_begin + code_length wraps for a length near SIZE_MAX; both
+  // lanes must still refuse the segment instead of reading past the
+  // chip buffer.
+  const auto code = PnCode::m_sequence(6).value();
+  const CorrelationKernel kernel(code);
+  const std::vector<double> rates(code.length(), 1.0);
+  constexpr std::size_t kMax = SIZE_MAX;
+  const std::size_t n = kernel.length();
+  struct Segment {
+    std::size_t begin, length;
+  };
+  for (const Segment seg : {Segment{0, kMax}, Segment{1, kMax},
+                            Segment{kMax, 1}, Segment{n + 1, 0},
+                            Segment{n, 1}, Segment{1, n}}) {
+    EXPECT_EQ(kernel.scan(rates, 0, seg.begin, seg.length).status().code(),
+              StatusCode::kInvalidArgument)
+        << seg.begin << "+" << seg.length;
+    EXPECT_EQ(
+        kernel.scan_simd(rates, 0, seg.begin, seg.length).status().code(),
+        StatusCode::kInvalidArgument)
+        << seg.begin << "+" << seg.length;
+  }
+  // The last chip alone is still a valid one-chip segment.
+  EXPECT_TRUE(kernel.scan(rates, 0, n - 1, 1).ok());
+}
+
 TEST(CorrelationKernelTest, AlignedDetectMatchesNaiveFormula) {
   Rng rng{35};
   const auto code = PnCode::m_sequence(9).value();
@@ -139,7 +174,7 @@ TEST(CorrelationKernelTest, AlignedDetectMatchesNaiveFormula) {
   const CorrelationKernel kernel(code, 5.0);
   const auto r = kernel.detect(rates).value();
 
-  // Independent naive despread, the historic Detector::detect loop.
+  // Independent naive despread, the historic aligned-detector loop.
   const std::size_t n = code.length();
   double mean = 0.0;
   for (std::size_t i = 0; i < n; ++i) mean += rates[i];
@@ -156,22 +191,28 @@ TEST(CorrelationKernelTest, AlignedDetectMatchesNaiveFormula) {
 }
 
 TEST(CorrelationKernelTest, DetectCountsScratchOverloadIsIdentical) {
+  // Hot per-flow loops convert counts into one reused scratch buffer and
+  // detect over it; the kernel keeps no state between calls, so reuse
+  // must not change a bit.
   Rng rng{37};
   const auto code = PnCode::m_sequence(7).value();
-  const Detector det(code);
+  const CorrelationKernel det(code);
   std::vector<std::uint32_t> counts;
   for (std::size_t i = 0; i < code.length() + 5; ++i) {
     counts.push_back(40 + static_cast<std::uint32_t>(rng.uniform(40)));
   }
-  const auto plain = det.detect_counts(counts).value();
-  std::vector<double> scratch;
-  const auto reused = det.detect_counts(counts, scratch).value();
+  const std::vector<double> fresh(counts.begin(), counts.end());
+  const auto plain = det.detect(fresh).value();
+  std::vector<double> scratch(3, -1.0);
+  scratch.assign(counts.begin(), counts.end());
+  const auto reused = det.detect(scratch).value();
   EXPECT_EQ(std::bit_cast<std::uint64_t>(plain.correlation),
             std::bit_cast<std::uint64_t>(reused.correlation));
   EXPECT_EQ(plain.detected, reused.detected);
   EXPECT_EQ(scratch.size(), counts.size());
   // The scratch buffer is reusable across calls.
-  const auto again = det.detect_counts(counts, scratch).value();
+  scratch.assign(counts.begin(), counts.end());
+  const auto again = det.detect(scratch).value();
   EXPECT_EQ(std::bit_cast<std::uint64_t>(plain.correlation),
             std::bit_cast<std::uint64_t>(again.correlation));
 }
@@ -207,8 +248,8 @@ TEST(CorrelationKernelTest, SegmentDespreadMatchesNaiveSegmentLoop) {
 
 TEST(CorrelationKernelTest, CrossScoreMatchesPearsonBitForBit) {
   // cross_score is the kernel-side replacement for the hand-rolled
-  // passive correlation in bench_baseline; util::pearson stays as the
-  // naive oracle it must match exactly.
+  // passive correlation in bench_baseline; the naive pearson oracle is
+  // what it must match exactly.
   Rng rng{20260805};
   for (int trial = 0; trial < 40; ++trial) {
     const std::size_t n = 2 + rng.uniform(200);
@@ -219,7 +260,7 @@ TEST(CorrelationKernelTest, CrossScoreMatchesPearsonBitForBit) {
     }
     EXPECT_EQ(std::bit_cast<std::uint64_t>(
                   CorrelationKernel::cross_score(a, b)),
-              std::bit_cast<std::uint64_t>(lexfor::pearson(a, b)))
+              std::bit_cast<std::uint64_t>(oracles::pearson(a, b)))
         << "trial " << trial << " n " << n;
   }
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "util/rng.h"
+#include "watermark/correlate.h"
 
 namespace lexfor::watermark {
 namespace {
@@ -43,14 +44,14 @@ TEST(EmbedderTest, EndMatchesCodeLength) {
 }
 
 TEST(DetectorTest, RejectsShortSeries) {
-  const Detector det(code9());
+  const CorrelationKernel det(code9());
   const std::vector<double> too_short(10, 1.0);
   EXPECT_EQ(det.detect(too_short).status().code(),
             StatusCode::kInvalidArgument);
 }
 
 TEST(DetectorTest, FlatSeriesIsNotDetected) {
-  const Detector det(code9());
+  const CorrelationKernel det(code9());
   const std::vector<double> flat(code9().length(), 100.0);
   const auto r = det.detect(flat);
   ASSERT_TRUE(r.ok());
@@ -60,7 +61,7 @@ TEST(DetectorTest, FlatSeriesIsNotDetected) {
 
 TEST(DetectorTest, CleanMarkIsDetected) {
   const auto code = code9();
-  const Detector det(code);
+  const CorrelationKernel det(code);
   std::vector<double> rates;
   for (const auto c : code.chips()) {
     rates.push_back(100.0 * (1.0 + 0.3 * c));
@@ -73,7 +74,7 @@ TEST(DetectorTest, CleanMarkIsDetected) {
 
 TEST(DetectorTest, NoisyMarkIsStillDetected) {
   const auto code = code9();
-  const Detector det(code);
+  const CorrelationKernel det(code);
   Rng rng{13};
   std::vector<double> rates;
   for (const auto c : code.chips()) {
@@ -88,7 +89,7 @@ TEST(DetectorTest, NoisyMarkIsStillDetected) {
 
 TEST(DetectorTest, PureNoiseIsNotDetected) {
   const auto code = code9();
-  const Detector det(code);
+  const CorrelationKernel det(code);
   Rng rng{17};
   int false_positives = 0;
   constexpr int kTrials = 200;
@@ -112,7 +113,7 @@ TEST(DetectorTest, WrongCodeDoesNotDespreadTheMark) {
   for (const auto c : marked_code.chips()) {
     rates.push_back(100.0 * (1.0 + 0.3 * c));
   }
-  const Detector det(wrong_code);
+  const CorrelationKernel det(wrong_code);
   const auto r = det.detect(rates);
   ASSERT_TRUE(r.ok());
   EXPECT_FALSE(r.value().detected)
@@ -128,7 +129,7 @@ TEST(DetectorTest, LongerCodesTolerateMoreNoise) {
 
   auto detection_rate = [&](int degree) {
     const auto code = PnCode::m_sequence(degree).value();
-    const Detector det(code, 4.0);
+    const CorrelationKernel det(code, 4.0);
     int detected = 0;
     constexpr int kTrials = 60;
     for (int t = 0; t < kTrials; ++t) {
@@ -148,8 +149,10 @@ TEST(DetectorTest, LongerCodesTolerateMoreNoise) {
 }
 
 TEST(DetectorTest, DetectCountsMatchesDetectOnRates) {
+  // The tracebacks bin packet counts and despread them as doubles: a
+  // count series converted element by element scores like the rates.
   const auto code = PnCode::m_sequence(6).value();
-  const Detector det(code);
+  const CorrelationKernel det(code);
   std::vector<std::uint32_t> counts;
   std::vector<double> rates;
   for (const auto c : code.chips()) {
@@ -157,7 +160,8 @@ TEST(DetectorTest, DetectCountsMatchesDetectOnRates) {
     counts.push_back(n);
     rates.push_back(static_cast<double>(n));
   }
-  const auto a = det.detect_counts(counts);
+  const std::vector<double> converted(counts.begin(), counts.end());
+  const auto a = det.detect(converted);
   const auto b = det.detect(rates);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
@@ -166,7 +170,7 @@ TEST(DetectorTest, DetectCountsMatchesDetectOnRates) {
 
 TEST(DetectorTest, ExtraTrailingBinsAreIgnored) {
   const auto code = PnCode::m_sequence(6).value();
-  const Detector det(code);
+  const CorrelationKernel det(code);
   std::vector<double> rates;
   for (const auto c : code.chips()) rates.push_back(100.0 * (1.0 + 0.3 * c));
   const auto exact = det.detect(rates).value();

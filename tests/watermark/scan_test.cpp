@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "util/rng.h"
-#include "watermark/dsss.h"
+#include "watermark/correlate.h"
 
 namespace lexfor::watermark {
 namespace {
@@ -32,8 +32,8 @@ TEST(ScanTest, FindsTheEmbedOffset) {
   const auto code = code9();
   const std::size_t true_offset = 37;
   const auto rates = marked_series(code, true_offset, 0.3, 5.0, rng);
-  const Detector det(code);
-  const auto r = det.detect_with_scan(rates, 100).value();
+  const CorrelationKernel det(code);
+  const auto r = det.scan(rates, 100).value();
   EXPECT_TRUE(r.best.detected);
   EXPECT_EQ(r.offset, true_offset);
 }
@@ -42,9 +42,9 @@ TEST(ScanTest, ZeroOffsetEquivalentToDirectDetect) {
   Rng rng{7};
   const auto code = code9();
   const auto rates = marked_series(code, 0, 0.3, 5.0, rng);
-  const Detector det(code);
+  const CorrelationKernel det(code);
   const auto direct = det.detect(rates).value();
-  const auto scanned = det.detect_with_scan(rates, 0).value();
+  const auto scanned = det.scan(rates, 0).value();
   EXPECT_EQ(scanned.offset, 0u);
   EXPECT_DOUBLE_EQ(scanned.best.correlation, direct.correlation);
 }
@@ -53,9 +53,9 @@ TEST(ScanTest, ScanningRaisesTheThreshold) {
   Rng rng{9};
   const auto code = code9();
   const auto rates = marked_series(code, 10, 0.3, 5.0, rng);
-  const Detector det(code);
+  const CorrelationKernel det(code);
   const auto direct = det.detect(rates).value();
-  const auto scanned = det.detect_with_scan(rates, 50).value();
+  const auto scanned = det.scan(rates, 50).value();
   // Bonferroni inflation: the scan threshold must exceed the direct one.
   EXPECT_GT(scanned.best.threshold, direct.threshold);
 }
@@ -63,14 +63,14 @@ TEST(ScanTest, ScanningRaisesTheThreshold) {
 TEST(ScanTest, PureNoiseSurvivesScanWithoutFalsePositive) {
   Rng rng{11};
   const auto code = code9();
-  const Detector det(code);
+  const CorrelationKernel det(code);
   int false_positives = 0;
   for (int trial = 0; trial < 30; ++trial) {
     std::vector<double> noise;
     for (std::size_t i = 0; i < code.length() + 100; ++i) {
       noise.push_back(100.0 + rng.normal(0.0, 20.0));
     }
-    const auto r = det.detect_with_scan(noise, 100).value();
+    const auto r = det.scan(noise, 100).value();
     false_positives += r.best.detected;
   }
   EXPECT_EQ(false_positives, 0);
@@ -78,18 +78,18 @@ TEST(ScanTest, PureNoiseSurvivesScanWithoutFalsePositive) {
 
 TEST(ScanTest, RejectsShortSeries) {
   const auto code = code9();
-  const Detector det(code);
+  const CorrelationKernel det(code);
   const std::vector<double> short_series(code.length() - 1, 1.0);
-  EXPECT_FALSE(det.detect_with_scan(short_series, 10).ok());
+  EXPECT_FALSE(det.scan(short_series, 10).ok());
 }
 
 TEST(ScanTest, MaxOffsetClampsToSeriesLength) {
   Rng rng{13};
   const auto code = code9();
   const auto rates = marked_series(code, 5, 0.3, 5.0, rng);
-  const Detector det(code);
+  const CorrelationKernel det(code);
   // Asking for a huge offset range must not read past the end.
-  const auto r = det.detect_with_scan(rates, 1u << 20).value();
+  const auto r = det.scan(rates, 1u << 20).value();
   EXPECT_TRUE(r.best.detected);
   EXPECT_EQ(r.offset, 5u);
 }
