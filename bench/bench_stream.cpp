@@ -86,7 +86,7 @@ int main() {
                                        rng.bernoulli(0.5), sigma, rng);
 
       const CorrelationKernel kernel(code);
-      OnlineDespreader online(kernel, max_offset);
+      auto online = OnlineDespreader::create(kernel, max_offset).value();
       for (const double r : rates) (void)online.push(r);
       const auto batch = kernel.scan(rates, max_offset).value();
       if (!online.verdict().complete ||
@@ -119,7 +119,7 @@ int main() {
         std::vector<double> stream(bins);
         for (auto& r : stream) r = rng.normal(100.0, 15.0);
 
-        OnlineDespreader online(kernel, max_offset);
+        auto online = OnlineDespreader::create(kernel, max_offset).value();
         const std::size_t expected = n + max_offset;
         double sink = 0.0;  // defeat dead-code elimination
         const auto t0 = clock::now();

@@ -1,5 +1,6 @@
 #include "capture/capture.h"
 
+#include "legal/admission.h"
 #include "obs/obs.h"
 
 namespace lexfor::capture {
@@ -22,13 +23,10 @@ Result<CaptureDevice> CaptureDevice::create(
   const legal::DataKind kind = mode == CaptureMode::kFullContent
                                    ? legal::DataKind::kContent
                                    : legal::DataKind::kAddressing;
-  const Status permitted = authority.permits(floor, kind, location, now);
-  if (!permitted.ok()) {
-    LEXFOR_OBS_COUNTER_ADD("capture.devices_refused", 1);
-    LEXFOR_OBS_EVENT(obs::Level::kAudit, "capture", "device_refused",
-                     "mode=" + std::string(to_string(mode)), now);
-    return permitted;
-  }
+  const Status admitted =
+      legal::admit({legal::AdmissionSite::kCapture, {}, floor, kind,
+                    location, now}, authority);
+  if (!admitted.ok()) return admitted;
 
   // Bind the device's lifetime to the instrument's: a capture running on
   // legal process must stop when the process lapses.
@@ -37,11 +35,6 @@ Result<CaptureDevice> CaptureDevice::create(
     const auto& proc = *authority.process();
     expiry = proc.issued_at + proc.validity;
   }
-  LEXFOR_OBS_COUNTER_ADD("capture.devices_created", 1);
-  LEXFOR_OBS_EVENT(obs::Level::kAudit, "capture", "device_created",
-                   "mode=" + std::string(to_string(mode)) +
-                       ",authority=" + std::string(to_string(floor)),
-                   now);
   return CaptureDevice{mode, target, std::move(location), expiry};
 }
 

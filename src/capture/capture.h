@@ -80,8 +80,9 @@ class CaptureDevice {
  public:
   // `required` is the minimum process the compliance engine determined
   // for this acquisition (kNone when an exception applies, e.g. victim
-  // consent).  The device refuses creation when the held authority does
-  // not satisfy both the determination and the mode's statutory floor.
+  // consent).  The device refuses creation when legal::admit finds the
+  // held authority short of the stricter of the determination and the
+  // mode's statutory floor.
   static Result<CaptureDevice> create(CaptureMode mode,
                                       const legal::GrantedAuthority& authority,
                                       legal::ProcessKind required,
@@ -101,9 +102,6 @@ class CaptureDevice {
   // (§III.A.2.a: capture only records related to the particular crime).
   // Out-of-scope traffic is counted but never retained.
   void set_scope_filter(Filter filter) { scope_filter_ = std::move(filter); }
-  [[nodiscard]] const Filter& scope_filter() const noexcept {
-    return scope_filter_;
-  }
 
   // The tap entry point (also callable directly in tests).
   void on_traversal(const netsim::TapEvent& ev);

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "crypto/sha256.h"
+#include "legal/admission.h"
 #include "util/string_util.h"
 
 namespace lexfor::diskimage {
@@ -33,9 +34,10 @@ Result<std::vector<HashHit>> HashSearcher::search(
     legal::ProcessKind required, const std::string& location,
     SimTime now) const {
   // The legal gate: examining file contents is a content acquisition.
-  const Status permitted =
-      authority.permits(required, legal::DataKind::kContent, location, now);
-  if (!permitted.ok()) return permitted;
+  const Status admitted =
+      legal::admit({legal::AdmissionSite::kHashSearch, {}, required,
+                    legal::DataKind::kContent, location, now}, authority);
+  if (!admitted.ok()) return admitted;
 
   std::vector<HashHit> hits;
   for (const auto& f : image.files()) {

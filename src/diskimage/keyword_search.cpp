@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "legal/admission.h"
+
 namespace lexfor::diskimage {
 
 void KeywordSearcher::scan_region(const Bytes& data, FileId file,
@@ -34,9 +36,10 @@ Result<std::vector<KeywordHit>> KeywordSearcher::search(
     const DiskImage& image, const legal::GrantedAuthority& authority,
     legal::ProcessKind required, const std::string& location, SimTime now,
     const std::function<bool(const std::string&)>& path_in_scope) const {
-  const Status permitted =
-      authority.permits(required, legal::DataKind::kContent, location, now);
-  if (!permitted.ok()) return permitted;
+  const Status admitted =
+      legal::admit({legal::AdmissionSite::kKeywordSearch, {}, required,
+                    legal::DataKind::kContent, location, now}, authority);
+  if (!admitted.ok()) return admitted;
 
   std::vector<KeywordHit> hits;
   for (const auto& f : image.files()) {

@@ -3,18 +3,17 @@
 // Acquisition tools (capture devices, provider-disclosure requests, disk
 // examiners) take a GrantedAuthority and are *constructed* to be unable
 // to exceed it — the paper's recommendation that researchers design
-// tools whose reach matches what the law allows.  kNone authority still
-// permits actions that need no process (public observation).
+// tools whose reach matches what the law allows.  Whether it covers an
+// acquisition is decided in one place, legal::admit (admission.h).  An
+// empty authority still admits actions that need no process (public
+// observation).
 
 #pragma once
 
 #include <optional>
-#include <string>
 
 #include "legal/process.h"
 #include "legal/types.h"
-#include "util/sim_time.h"
-#include "util/status.h"
 
 namespace lexfor::legal {
 
@@ -31,27 +30,6 @@ class GrantedAuthority {
   }
   [[nodiscard]] const std::optional<LegalProcess>& process() const noexcept {
     return process_;
-  }
-
-  // Whether this authority permits acquiring `kind` at `location` at
-  // `now`, when the compliance engine says `required` is the minimum
-  // process for the acquisition.  An acquisition needing no process is
-  // always permitted; otherwise the held instrument must satisfy the
-  // requirement AND cover the data kind, location and time.
-  [[nodiscard]] Status permits(ProcessKind required, DataKind kind,
-                               const std::string& location, SimTime now) const {
-    if (required == ProcessKind::kNone) return Status::Ok();
-    if (!process_) {
-      return PermissionDenied("acquisition requires " +
-                              std::string(to_string(required)) +
-                              " but no process is held");
-    }
-    if (!satisfies(process_->kind, required)) {
-      return PermissionDenied("held " + std::string(to_string(process_->kind)) +
-                              " does not satisfy required " +
-                              std::string(to_string(required)));
-    }
-    return process_->authorizes(kind, location, now);
   }
 
  private:

@@ -55,7 +55,7 @@ class CanonicalHasher {
 };
 
 // One field per line, in Scenario declaration order; the booleans are
-// packed into one little-endian u32 bitmask, one fixed bit each.
+// packed into one little-endian u32 bitmask by pack_flags (scenario.h).
 // Every field of the struct MUST appear here: a missed field makes two
 // legally distinct scenarios collide in the verdict cache.  Covered by
 // the FingerprintDistinguishesEveryField test, which flips each field
@@ -74,35 +74,7 @@ ScenarioFingerprint hash_canonical(const Scenario& s) {
   out.put_u8(static_cast<std::uint8_t>(s.timing));
   out.put_u8(static_cast<std::uint8_t>(s.provider));
   out.put_u8(static_cast<std::uint8_t>(s.consent));
-  std::uint32_t bits = 0;
-  int bit = 0;
-  const auto pack = [&bits, &bit](bool v) {
-    bits |= (v ? 1u : 0u) << bit++;
-  };
-  pack(s.acting_under_color_of_law);
-  pack(s.knowingly_exposed_to_public);
-  pack(s.shared_with_third_party);
-  pack(s.delivered_to_recipient);
-  pack(s.inside_home);
-  pack(s.via_sense_enhancing_tech);
-  pack(s.tech_in_general_public_use);
-  pack(s.readily_accessible_to_public);
-  pack(s.encrypted);
-  pack(s.message_opened_by_recipient);
-  pack(s.consent_revoked);
-  pack(s.target_area_password_protected);
-  pack(s.is_victim_system);
-  pack(s.targets_attacker_system);
-  pack(s.exigent_circumstances);
-  pack(s.in_plain_view);
-  pack(s.target_on_probation);
-  pack(s.emergency_pen_trap);
-  pack(s.provider_self_protection);
-  pack(s.device_lawfully_in_custody);
-  pack(s.contents_previously_lawfully_acquired);
-  pack(s.credentials_lawfully_obtained);
-  pack(s.target_arrested);
-  out.put_u32(bits);
+  out.put_u32(pack_flags(s));
   out.put_string(s.jurisdiction);
   return out.finish();
 }

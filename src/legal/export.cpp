@@ -2,69 +2,31 @@
 
 #include <sstream>
 
+#include "util/string_util.h"
+
 namespace lexfor::legal {
-namespace {
-
-void append_string_array(std::ostringstream& os,
-                         const std::vector<std::string>& items) {
-  os << '[';
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    if (i != 0) os << ',';
-    os << json_escape(items[i]);
-  }
-  os << ']';
-}
-
-}  // namespace
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  out.push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-  return out;
-}
 
 std::string to_json(const Determination& d) {
   std::ostringstream os;
   os << '{';
-  os << "\"scenario\":" << json_escape(d.scenario_name) << ',';
+  os << "\"scenario\":" << json_quoted(d.scenario_name) << ',';
   os << "\"needs_process\":" << (d.needs_process ? "true" : "false") << ',';
   os << "\"required_process\":"
-     << json_escape(std::string(to_string(d.required_process))) << ',';
+     << json_quoted(to_string(d.required_process)) << ',';
   os << "\"required_proof\":"
-     << json_escape(std::string(to_string(d.required_proof))) << ',';
+     << json_quoted(to_string(d.required_proof)) << ',';
   os << "\"statutes\":[";
   for (std::size_t i = 0; i < d.governing_statutes.size(); ++i) {
     if (i != 0) os << ',';
-    os << json_escape(std::string(to_string(d.governing_statutes[i])));
+    os << json_quoted(to_string(d.governing_statutes[i]));
   }
   os << "],\"exceptions\":[";
   for (std::size_t i = 0; i < d.exceptions_applied.size(); ++i) {
     if (i != 0) os << ',';
-    os << json_escape(std::string(to_string(d.exceptions_applied[i])));
+    os << json_quoted(to_string(d.exceptions_applied[i]));
   }
-  os << "],\"rationale\":";
-  append_string_array(os, d.rationale);
-  os << ",\"citations\":";
-  append_string_array(os, d.citations);
+  os << "],\"rationale\":" << json_string_array(d.rationale)
+     << ",\"citations\":" << json_string_array(d.citations);
   os << '}';
   return os.str();
 }
@@ -78,7 +40,7 @@ std::string to_json(const SuppressionReport& r) {
     const auto& f = r.findings[i];
     os << "{\"id\":" << f.id.value()
        << ",\"suppressed\":" << (f.suppressed ? "true" : "false")
-       << ",\"reason\":" << json_escape(f.reason) << '}';
+       << ",\"reason\":" << json_quoted(f.reason) << '}';
   }
   os << "]}";
   return os.str();
@@ -86,20 +48,19 @@ std::string to_json(const SuppressionReport& r) {
 
 std::string to_json(const FeasibilityReport& r) {
   std::ostringstream os;
-  os << "{\"technique\":" << json_escape(r.technique_name)
+  os << "{\"technique\":" << json_quoted(r.technique_name)
      << ",\"feasibility\":"
-     << json_escape(std::string(to_string(r.feasibility)))
+     << json_quoted(to_string(r.feasibility))
      << ",\"bottleneck\":"
-     << json_escape(std::string(to_string(r.bottleneck)))
-     << ",\"bottleneck_step\":" << json_escape(r.bottleneck_step)
+     << json_quoted(to_string(r.bottleneck))
+     << ",\"bottleneck_step\":" << json_quoted(r.bottleneck_step)
      << ",\"steps\":[";
   for (std::size_t i = 0; i < r.steps.size(); ++i) {
     if (i != 0) os << ',';
-    os << "{\"name\":" << json_escape(r.steps[i].step_name)
+    os << "{\"name\":" << json_quoted(r.steps[i].step_name)
        << ",\"determination\":" << to_json(r.steps[i].determination) << '}';
   }
-  os << "],\"recommendations\":";
-  append_string_array(os, r.recommendations);
+  os << "],\"recommendations\":" << json_string_array(r.recommendations);
   os << '}';
   return os.str();
 }

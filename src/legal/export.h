@@ -16,9 +16,6 @@
 
 namespace lexfor::legal {
 
-// JSON string literal with escaping (quotes, backslash, control chars).
-[[nodiscard]] std::string json_escape(const std::string& s);
-
 // {"scenario":...,"verdict":...,"required_process":...,"statutes":[...],
 //  "exceptions":[...],"rationale":[...],"citations":[...]}
 [[nodiscard]] std::string to_json(const Determination& d);

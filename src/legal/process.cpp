@@ -4,7 +4,7 @@
 
 namespace lexfor::legal {
 
-Status LegalProcess::authorizes(DataKind data_kind, const std::string& location,
+Status LegalProcess::authorizes(DataKind data_kind, std::string_view location,
                                 SimTime now) const {
   if (kind == ProcessKind::kNone) {
     return PermissionDenied("no legal process held");

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "legal/types.h"
@@ -32,7 +33,7 @@ struct ProcessScope {
     }
     return false;
   }
-  [[nodiscard]] bool covers_location(const std::string& loc) const {
+  [[nodiscard]] bool covers_location(std::string_view loc) const {
     if (locations.empty()) return true;
     for (const auto& l : locations) {
       if (l == loc) return true;
@@ -56,7 +57,7 @@ struct LegalProcess {
 
   // Whether this instrument authorizes acquiring `kind` at `location` at
   // time `now`.  Returns an explanatory error when it does not.
-  [[nodiscard]] Status authorizes(DataKind kind, const std::string& location,
+  [[nodiscard]] Status authorizes(DataKind kind, std::string_view location,
                                   SimTime now) const;
 };
 

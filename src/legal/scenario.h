@@ -8,7 +8,10 @@
 
 #pragma once
 
+#include <cstdint>
+#include <iterator>
 #include <string>
+#include <utility>
 
 #include "legal/types.h"
 
@@ -111,5 +114,42 @@ struct Scenario {
            acting_under_color_of_law;
   }
 };
+
+// The Scenario flags in their one canonical pack order: bit i of the
+// packed word is kScenarioFlags[i].  The verdict-cache fingerprint
+// (batch.cpp) and the serve wire request both carry the flags this way,
+// so a new flag is appended here, never inserted: reordering would move
+// every fingerprint and frame (tests/serve/wire_golden_test.cpp).
+inline constexpr bool Scenario::*const kScenarioFlags[] = {
+    &Scenario::acting_under_color_of_law,
+    &Scenario::knowingly_exposed_to_public,
+    &Scenario::shared_with_third_party, &Scenario::delivered_to_recipient,
+    &Scenario::inside_home, &Scenario::via_sense_enhancing_tech,
+    &Scenario::tech_in_general_public_use,
+    &Scenario::readily_accessible_to_public, &Scenario::encrypted,
+    &Scenario::message_opened_by_recipient, &Scenario::consent_revoked,
+    &Scenario::target_area_password_protected, &Scenario::is_victim_system,
+    &Scenario::targets_attacker_system, &Scenario::exigent_circumstances,
+    &Scenario::in_plain_view, &Scenario::target_on_probation,
+    &Scenario::emergency_pen_trap, &Scenario::provider_self_protection,
+    &Scenario::device_lawfully_in_custody,
+    &Scenario::contents_previously_lawfully_acquired,
+    &Scenario::credentials_lawfully_obtained, &Scenario::target_arrested};
+inline constexpr unsigned kScenarioFlagCount = std::size(kScenarioFlags);
+static_assert(kScenarioFlagCount <= 32, "the flags must fit one u32");
+
+// Both unroll at compile time: the fingerprint and the wire decoder run
+// them on every request.
+[[nodiscard]] inline std::uint32_t pack_flags(const Scenario& s) noexcept {
+  return [&s]<std::size_t... I>(std::index_sequence<I...>) {
+    return ((std::uint32_t{s.*kScenarioFlags[I]} << I) | ...);
+  }(std::make_index_sequence<kScenarioFlagCount>{});
+}
+
+inline void unpack_flags(std::uint32_t bits, Scenario& s) noexcept {
+  [&]<std::size_t... I>(std::index_sequence<I...>) {
+    ((s.*kScenarioFlags[I] = ((bits >> I) & 1u) != 0), ...);
+  }(std::make_index_sequence<kScenarioFlagCount>{});
+}
 
 }  // namespace lexfor::legal

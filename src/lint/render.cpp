@@ -3,7 +3,7 @@
 #include <sstream>
 
 #include "legal/caselaw.h"
-#include "legal/export.h"
+#include "util/string_util.h"
 
 namespace lexfor::lint {
 
@@ -36,23 +36,9 @@ std::string render_text(const LintReport& report) {
   return os.str();
 }
 
-namespace {
-
-void append_string_array(std::ostringstream& os,
-                         const std::vector<std::string>& items) {
-  os << '[';
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    if (i != 0) os << ',';
-    os << legal::json_escape(items[i]);
-  }
-  os << ']';
-}
-
-}  // namespace
-
 std::string render_json(const LintReport& report) {
   std::ostringstream os;
-  os << '{' << "\"plan\":" << legal::json_escape(report.plan_title)
+  os << '{' << "\"plan\":" << json_quoted(report.plan_title)
      << ",\"errors\":" << report.error_count
      << ",\"warnings\":" << report.warning_count
      << ",\"notes\":" << report.note_count
@@ -61,16 +47,13 @@ std::string render_json(const LintReport& report) {
   for (std::size_t i = 0; i < report.diagnostics.size(); ++i) {
     const Diagnostic& d = report.diagnostics[i];
     if (i != 0) os << ',';
-    os << "{\"severity\":" << legal::json_escape(std::string(to_string(d.severity)))
-       << ",\"rule\":" << legal::json_escape(d.rule)
+    os << "{\"severity\":" << json_quoted(to_string(d.severity))
+       << ",\"rule\":" << json_quoted(d.rule)
        << ",\"step\":" << d.step.value()
-       << ",\"step_name\":" << legal::json_escape(d.step_name)
-       << ",\"message\":" << legal::json_escape(d.message)
-       << ",\"rationale\":";
-    append_string_array(os, d.rationale);
-    os << ",\"citations\":";
-    append_string_array(os, d.citations);
-    os << '}';
+       << ",\"step_name\":" << json_quoted(d.step_name)
+       << ",\"message\":" << json_quoted(d.message)
+       << ",\"rationale\":" << json_string_array(d.rationale)
+       << ",\"citations\":" << json_string_array(d.citations) << '}';
   }
   os << "]}";
   return os.str();

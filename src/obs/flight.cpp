@@ -9,6 +9,7 @@
 #include "obs/sink.h"
 #include "obs/snapshot.h"
 #include "obs/tracer.h"
+#include "util/string_util.h"
 
 namespace lexfor::obs {
 namespace {

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "obs/sink.h"  // append_json_escaped
+#include "util/string_util.h"
 
 namespace lexfor::obs {
 namespace {

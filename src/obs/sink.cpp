@@ -2,27 +2,9 @@
 
 #include <cstdio>
 
-namespace lexfor::obs {
+#include "util/string_util.h"
 
-void append_json_escaped(std::string& out, std::string_view text) {
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
+namespace lexfor::obs {
 
 std::string args_to_json(std::string_view args) {
   std::string out;

@@ -78,9 +78,6 @@ class ChromeTraceSink final : public TraceSink {
   std::int64_t last_sim_us_ = 0;
 };
 
-// Appends `text` to `out` with JSON string escaping applied.
-void append_json_escaped(std::string& out, std::string_view text);
-
 // Appends one event as a complete JSON object (no trailing newline) in
 // the JsonlSink line format: raw dual clocks + level + nested Chrome
 // style event body.  Shared by JsonlSink and the flight recorder so a

@@ -4,7 +4,7 @@
 #include <cstdio>
 #include <string_view>
 
-#include "obs/sink.h"  // append_json_escaped
+#include "util/string_util.h"
 #include "obs/tracer.h"
 
 namespace lexfor::obs {

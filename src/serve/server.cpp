@@ -14,6 +14,15 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+// ThreadPool::try_submit bound for chunk tasks; a refused chunk runs on
+// the serving thread.
+constexpr std::size_t kPoolQueueDepth = 256;
+// Entry budget and stripe count of the compact verdict table.  66
+// distinct scenarios serve a million subscribers; 1<<16 leaves room for
+// real mixes.
+constexpr std::size_t kVerdictTableCapacity = 1 << 16;
+constexpr std::size_t kVerdictTableShards = 16;
+
 [[nodiscard]] std::uint32_t clamp_ns(Clock::duration d) noexcept {
   const auto ns =
       std::chrono::duration_cast<std::chrono::nanoseconds>(d).count();
@@ -34,10 +43,7 @@ Connection::Connection(std::size_t queue_capacity) {
 VerdictServer::VerdictServer(ServerOptions options)
     : options_(options),
       batch_(options.batch),
-      table_(options.verdict_table_capacity == 0
-                 ? 1
-                 : options.verdict_table_capacity,
-             options.verdict_table_shards),
+      table_(kVerdictTableCapacity, kVerdictTableShards),
       pool_(options.workers, [] { LEXFOR_OBS_WARM_THREAD(); }) {
   if (options_.grain == 0) options_.grain = 1;
   if (options_.queue_capacity == 0) options_.queue_capacity = 1;
@@ -156,7 +162,7 @@ ServeStats VerdictServer::serve(Connection& conn,
         const std::scoped_lock lock(done_mu);
         if (--remaining == 0) done_cv.notify_one();
       };
-      if (!pool_.try_submit(task, options_.pool_queue_depth).ok()) {
+      if (!pool_.try_submit(task, kPoolQueueDepth).ok()) {
         // Caller-runs degradation: the pool refused to buffer, so the
         // serving thread absorbs the chunk.  Accepted work is never
         // dropped.

@@ -102,15 +102,8 @@ struct ServerOptions {
   // Bounded admission queue: at most this many accepted requests per
   // batch; the rest of a wave is shed (and counted).
   std::size_t queue_capacity = 4096;
-  // ThreadPool::try_submit bound for chunk tasks; a refused chunk runs
-  // on the serving thread.
-  std::size_t pool_queue_depth = 256;
   // Requests per worker chunk.
   std::size_t grain = 256;
-  // Entry budget for the compact verdict table.  66 distinct scenarios
-  // serve a million subscribers; 1<<16 leaves room for real mixes.
-  std::size_t verdict_table_capacity = 1 << 16;
-  std::size_t verdict_table_shards = 16;
   // Passed through to the BatchEvaluator (shared cache by default).
   legal::BatchOptions batch;
 };

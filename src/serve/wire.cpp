@@ -1,7 +1,8 @@
 #include "serve/wire.h"
 
 #include <algorithm>
-#include <cstring>
+
+#include "util/bytes.h"
 
 namespace lexfor::serve::wire {
 namespace {
@@ -14,98 +15,6 @@ Status Malformed(const char* msg) {
 }
 Status VersionSkew() {
   return Status{StatusCode::kFailedPrecondition, "version skew"};
-}
-
-// Raw LE primitives over the frame buffer.  memcpy is the sanctioned
-// unaligned-access idiom (see util/bytes.h).
-std::uint32_t get_u32(const std::uint8_t* p) noexcept {
-  std::uint32_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-std::uint64_t get_u64(const std::uint8_t* p) noexcept {
-  std::uint64_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  const auto at = out.size();
-  out.resize(at + sizeof(v));
-  std::memcpy(out.data() + at, &v, sizeof(v));
-}
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  const auto at = out.size();
-  out.resize(at + sizeof(v));
-  std::memcpy(out.data() + at, &v, sizeof(v));
-}
-
-// The bit-packed boolean block, in the EXACT order of the PR-3
-// canonical fingerprint (legal/batch.cpp hash_canonical): two legally
-// distinct scenarios must differ on the wire wherever they differ in
-// the cache key.  WireCoversEveryScenarioField cross-checks this
-// against the fingerprint per field.
-std::uint32_t pack_bools(const legal::Scenario& s) noexcept {
-  std::uint32_t bits = 0;
-  unsigned bit = 0;
-  const auto pack = [&bits, &bit](bool v) {
-    bits |= (v ? 1u : 0u) << bit++;
-  };
-  pack(s.acting_under_color_of_law);
-  pack(s.knowingly_exposed_to_public);
-  pack(s.shared_with_third_party);
-  pack(s.delivered_to_recipient);
-  pack(s.inside_home);
-  pack(s.via_sense_enhancing_tech);
-  pack(s.tech_in_general_public_use);
-  pack(s.readily_accessible_to_public);
-  pack(s.encrypted);
-  pack(s.message_opened_by_recipient);
-  pack(s.consent_revoked);
-  pack(s.target_area_password_protected);
-  pack(s.is_victim_system);
-  pack(s.targets_attacker_system);
-  pack(s.exigent_circumstances);
-  pack(s.in_plain_view);
-  pack(s.target_on_probation);
-  pack(s.emergency_pen_trap);
-  pack(s.provider_self_protection);
-  pack(s.device_lawfully_in_custody);
-  pack(s.contents_previously_lawfully_acquired);
-  pack(s.credentials_lawfully_obtained);
-  pack(s.target_arrested);
-  static_assert(kScenarioBoolCount == 23,
-                "pack_bools and kScenarioBoolCount out of sync");
-  return bits;
-}
-
-void unpack_bools(std::uint32_t bits, legal::Scenario& s) noexcept {
-  unsigned bit = 0;
-  const auto unpack = [&bits, &bit](bool& v) {
-    v = ((bits >> bit++) & 1u) != 0;
-  };
-  unpack(s.acting_under_color_of_law);
-  unpack(s.knowingly_exposed_to_public);
-  unpack(s.shared_with_third_party);
-  unpack(s.delivered_to_recipient);
-  unpack(s.inside_home);
-  unpack(s.via_sense_enhancing_tech);
-  unpack(s.tech_in_general_public_use);
-  unpack(s.readily_accessible_to_public);
-  unpack(s.encrypted);
-  unpack(s.message_opened_by_recipient);
-  unpack(s.consent_revoked);
-  unpack(s.target_area_password_protected);
-  unpack(s.is_victim_system);
-  unpack(s.targets_attacker_system);
-  unpack(s.exigent_circumstances);
-  unpack(s.in_plain_view);
-  unpack(s.target_on_probation);
-  unpack(s.emergency_pen_trap);
-  unpack(s.provider_self_protection);
-  unpack(s.device_lawfully_in_custody);
-  unpack(s.contents_previously_lawfully_acquired);
-  unpack(s.credentials_lawfully_obtained);
-  unpack(s.target_arrested);
 }
 
 // Inclusive upper bounds of the enum ranges the decoder accepts.  A
@@ -133,13 +42,13 @@ constexpr std::uint8_t kMaxStatusCode =
 
 void encode_header(FrameKind kind, std::uint64_t request_id,
                    std::size_t frame_len, std::vector<std::uint8_t>& out) {
-  put_u32(out, kMagic);
+  append_u32(out, kMagic);
   out.push_back(kWireVersion);
   out.push_back(static_cast<std::uint8_t>(kind));
   out.push_back(0);  // reserved
   out.push_back(0);
-  put_u32(out, static_cast<std::uint32_t>(frame_len));
-  put_u64(out, request_id);
+  append_u32(out, static_cast<std::uint32_t>(frame_len));
+  append_u64(out, request_id);
 }
 
 // Everything decode_request checks, sans output.  Returns the parsed
@@ -151,18 +60,18 @@ Status validate_request_impl(std::span<const std::uint8_t> frame,
                              std::size_t* juris_len) noexcept {
   if (frame.size() < kHeaderBytes) return Malformed("truncated");
   const std::uint8_t* p = frame.data();
-  if (get_u32(p) != kMagic) return Malformed("bad magic");
+  if (load_le32(p) != kMagic) return Malformed("bad magic");
   if (p[4] != kWireVersion) return VersionSkew();
   if (p[5] != static_cast<std::uint8_t>(FrameKind::kRequest)) {
     return Malformed("bad kind");
   }
   if (p[6] != 0 || p[7] != 0) return Malformed("bad reserved");
-  if (get_u32(p + 8) != frame.size()) return Malformed("bad length");
+  if (load_le32(p + 8) != frame.size()) return Malformed("bad length");
 
   std::size_t at = kHeaderBytes;
   const auto remaining = [&] { return frame.size() - at; };
   if (remaining() < 4) return Malformed("truncated");
-  const std::uint32_t nlen = get_u32(p + at);
+  const std::uint32_t nlen = load_le32(p + at);
   at += 4;
   if (nlen > kMaxStringBytes || nlen > remaining()) {
     return Malformed("bad name len");
@@ -179,11 +88,11 @@ Status validate_request_impl(std::span<const std::uint8_t> frame,
   if (p[at + 4] > kMaxProvider) return Malformed("bad provider");
   if (p[at + 5] > kMaxConsent) return Malformed("bad consent");
   at += 6;
-  const std::uint32_t bits = get_u32(p + at);
+  const std::uint32_t bits = load_le32(p + at);
   at += 4;
-  if ((bits >> kScenarioBoolCount) != 0) return Malformed("bad flags");
+  if ((bits >> legal::kScenarioFlagCount) != 0) return Malformed("bad flags");
 
-  const std::uint32_t jlen = get_u32(p + at);
+  const std::uint32_t jlen = load_le32(p + at);
   at += 4;
   if (jlen > kMaxStringBytes || jlen > remaining()) {
     return Malformed("bad juris len");
@@ -201,7 +110,7 @@ Status validate_request_impl(std::span<const std::uint8_t> frame,
 Result<FrameInfo> peek_frame(std::span<const std::uint8_t> buf) {
   if (buf.size() < kHeaderBytes) return Malformed("truncated");
   const std::uint8_t* p = buf.data();
-  if (get_u32(p) != kMagic) return Malformed("bad magic");
+  if (load_le32(p) != kMagic) return Malformed("bad magic");
   const std::uint8_t kind = p[5];
   if (kind != static_cast<std::uint8_t>(FrameKind::kRequest) &&
       kind != static_cast<std::uint8_t>(FrameKind::kResponse)) {
@@ -210,14 +119,14 @@ Result<FrameInfo> peek_frame(std::span<const std::uint8_t> buf) {
   // The reserved word is a v1 payload rule, checked by decode_*: a
   // future revision may use it, and peek must stay able to skip such
   // frames.
-  const std::uint32_t frame_len = get_u32(p + 8);
+  const std::uint32_t frame_len = load_le32(p + 8);
   if (frame_len < kHeaderBytes || frame_len > buf.size()) {
     return Malformed("bad length");
   }
   FrameInfo info;
   info.version = p[4];
   info.kind = static_cast<FrameKind>(kind);
-  info.request_id = get_u64(p + kRequestIdOffset);
+  info.request_id = load_le64(p + kRequestIdOffset);
   info.frame_len = frame_len;
   return info;
 }
@@ -231,7 +140,7 @@ void encode_request(const legal::Scenario& s, std::uint64_t request_id,
       kHeaderBytes + kRequestFixedPayloadBytes + name_len + juris_len;
   out.reserve(out.size() + frame_len);
   encode_header(FrameKind::kRequest, request_id, frame_len, out);
-  put_u32(out, static_cast<std::uint32_t>(name_len));
+  append_u32(out, static_cast<std::uint32_t>(name_len));
   out.insert(out.end(), s.name.data(), s.name.data() + name_len);
   out.push_back(static_cast<std::uint8_t>(s.actor));
   out.push_back(static_cast<std::uint8_t>(s.data));
@@ -239,8 +148,8 @@ void encode_request(const legal::Scenario& s, std::uint64_t request_id,
   out.push_back(static_cast<std::uint8_t>(s.timing));
   out.push_back(static_cast<std::uint8_t>(s.provider));
   out.push_back(static_cast<std::uint8_t>(s.consent));
-  put_u32(out, pack_bools(s));
-  put_u32(out, static_cast<std::uint32_t>(juris_len));
+  append_u32(out, legal::pack_flags(s));
+  append_u32(out, static_cast<std::uint32_t>(juris_len));
   out.insert(out.end(), s.jurisdiction.data(),
              s.jurisdiction.data() + juris_len);
 }
@@ -262,7 +171,7 @@ Status decode_request(std::span<const std::uint8_t> frame, Request& out) {
   // strings' existing capacity, so a recycled Request decodes without
   // heap traffic once warm.
   const std::uint8_t* p = frame.data();
-  out.request_id = get_u64(p + kRequestIdOffset);
+  out.request_id = load_le64(p + kRequestIdOffset);
   legal::Scenario& s = out.scenario;
   s.name.assign(reinterpret_cast<const char*>(p + name_at), name_len);
   const std::size_t e = name_at + name_len;
@@ -272,7 +181,7 @@ Status decode_request(std::span<const std::uint8_t> frame, Request& out) {
   s.timing = static_cast<legal::Timing>(p[e + 3]);
   s.provider = static_cast<legal::ProviderClass>(p[e + 4]);
   s.consent = static_cast<legal::ConsentKind>(p[e + 5]);
-  unpack_bools(get_u32(p + e + 6), s);
+  legal::unpack_flags(load_le32(p + e + 6), s);
   s.jurisdiction.assign(reinterpret_cast<const char*>(p + juris_at),
                         juris_len);
   return Status::Ok();
@@ -286,32 +195,32 @@ void encode_response(const Response& r, std::vector<std::uint8_t>& out) {
                                           (r.cache_hit ? 2u : 0u)));
   out.push_back(static_cast<std::uint8_t>(r.required_process));
   out.push_back(static_cast<std::uint8_t>(r.required_proof));
-  put_u64(out, r.server_ns);
+  append_u64(out, r.server_ns);
 }
 
 Status decode_response(std::span<const std::uint8_t> frame, Response& out) {
   if (frame.size() < kHeaderBytes) return Malformed("truncated");
   const std::uint8_t* p = frame.data();
-  if (get_u32(p) != kMagic) return Malformed("bad magic");
+  if (load_le32(p) != kMagic) return Malformed("bad magic");
   if (p[4] != kWireVersion) return VersionSkew();
   if (p[5] != static_cast<std::uint8_t>(FrameKind::kResponse)) {
     return Malformed("bad kind");
   }
   if (p[6] != 0 || p[7] != 0) return Malformed("bad reserved");
-  if (get_u32(p + 8) != frame.size()) return Malformed("bad length");
+  if (load_le32(p + 8) != frame.size()) return Malformed("bad length");
   if (frame.size() != kResponseFrameBytes) return Malformed("bad length");
   const std::uint8_t* q = p + kHeaderBytes;
   if (q[0] > kMaxStatusCode) return Malformed("bad status");
   if ((q[1] & ~3u) != 0) return Malformed("bad flags");
   if (q[2] > kMaxProcess) return Malformed("bad process");
   if (q[3] > kMaxProof) return Malformed("bad proof");
-  out.request_id = get_u64(p + kRequestIdOffset);
+  out.request_id = load_le64(p + kRequestIdOffset);
   out.status = static_cast<StatusCode>(q[0]);
   out.needs_process = (q[1] & 1u) != 0;
   out.cache_hit = (q[1] & 2u) != 0;
   out.required_process = static_cast<legal::ProcessKind>(q[2]);
   out.required_proof = static_cast<legal::StandardOfProof>(q[3]);
-  out.server_ns = get_u64(q + 4);
+  out.server_ns = load_le64(q + 4);
   return Status::Ok();
 }
 

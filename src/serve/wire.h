@@ -64,10 +64,6 @@ inline constexpr std::size_t kRequestIdOffset = 12;
 // into a giant allocation before the frame-length cross-check runs.
 inline constexpr std::size_t kMaxStringBytes = 4096;
 
-// Number of Scenario booleans bit-packed into the flags word, in the
-// canonical fingerprint pack order.  Bits >= this count must be zero.
-inline constexpr unsigned kScenarioBoolCount = 23;
-
 // Fixed-size portion of a request payload: six enum bytes + flags u32
 // + two string length prefixes.
 inline constexpr std::size_t kRequestFixedPayloadBytes = 6 + 4 + 4 + 4;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "legal/admission.h"
+
 namespace lexfor::storedcomm {
 
 AccountId Provider::create_account(std::string address,
@@ -208,9 +210,10 @@ Result<DisclosureResult> Provider::compelled_disclosure(
                  ? legal::DataKind::kSubscriberRecords
                  : legal::DataKind::kTransactionalRecords);
 
-  const Status permitted =
-      authority.permits(det.required_process, data_kind, name_, now);
-  if (!permitted.ok()) return permitted;
+  const Status admitted =
+      legal::admit({legal::AdmissionSite::kDisclosure, det.scenario_name,
+                    det.required_process, data_kind, name_, now}, authority);
+  if (!admitted.ok()) return admitted;
 
   return build_disclosure(kind, account, authority.kind());
 }

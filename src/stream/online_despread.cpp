@@ -1,16 +1,34 @@
 #include "stream/online_despread.h"
 
+#include <cstdint>
+
 namespace lexfor::stream {
 
-OnlineDespreader::OnlineDespreader(const watermark::CorrelationKernel& kernel,
-                                   std::size_t max_offset)
-    : OnlineDespreader(kernel, max_offset, nullptr) {}
+Result<std::size_t> OnlineDespreader::window_capacity(
+    const watermark::CorrelationKernel& kernel, std::size_t max_offset) {
+  // The sum must not wrap, and its byte size (what the heap and arena
+  // paths allocate) must not either.
+  constexpr std::size_t kMaxDoubles = SIZE_MAX / sizeof(double);
+  if (kernel.length() > kMaxDoubles ||
+      max_offset > kMaxDoubles - kernel.length()) {
+    return InvalidArgument(
+        "OnlineDespreader: max_offset overflows the despread window");
+  }
+  return kernel.length() + max_offset;
+}
+
+Result<OnlineDespreader> OnlineDespreader::create(
+    const watermark::CorrelationKernel& kernel, std::size_t max_offset,
+    double* storage) {
+  auto window_len = window_capacity(kernel, max_offset);
+  if (!window_len.ok()) return window_len.status();
+  return OnlineDespreader(kernel, max_offset, window_len.value(), storage);
+}
 
 OnlineDespreader::OnlineDespreader(const watermark::CorrelationKernel& kernel,
-                                   std::size_t max_offset, double* storage)
-    : kernel_(kernel),
-      max_offset_(max_offset),
-      window_len_(window_capacity(kernel, max_offset)) {
+                                   std::size_t max_offset,
+                                   std::size_t window_len, double* storage)
+    : kernel_(kernel), max_offset_(max_offset), window_len_(window_len) {
   if (storage == nullptr) {
     owned_ = std::make_unique<double[]>(window_len_);
     storage = owned_.get();

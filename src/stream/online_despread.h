@@ -33,7 +33,7 @@
 // stays the oracle: this class holds no scoring math of its own, only the
 // bookkeeping to feed the kernel incrementally.  Peak memory is
 // n + max_offset doubles — O(code length + offset window), independent
-// of stream length, allocated once in the constructor.
+// of stream length, allocated once at creation.
 //
 // Storage can be supplied externally (stream::TapRegistry backs every
 // tap's window from one util::Arena): the despreader then owns nothing
@@ -68,26 +68,21 @@ class OnlineDespreader {
   // The kernel must outlive this despreader (same lifetime rule as
   // ScanJob).  `max_offset` fixes the candidate window — and therefore
   // the Bonferroni threshold AND the memory footprint
-  // (kernel.length() + max_offset doubles) — at construction.  The
-  // caller guarantees that sum does not overflow std::size_t;
-  // TapSession::create refuses a config that would.
-  OnlineDespreader(const watermark::CorrelationKernel& kernel,
-                   std::size_t max_offset);
+  // (window_capacity(kernel, max_offset) doubles) — at creation.
+  // `storage`, when not null, is caller-owned room for that many
+  // doubles (TapRegistry carves these from one arena); it must outlive
+  // the despreader, is overwritten as bins arrive and need not be
+  // initialized.  nullptr allocates the window internally.  A
+  // max_offset whose window does not fit is InvalidArgument.
+  [[nodiscard]] static Result<OnlineDespreader> create(
+      const watermark::CorrelationKernel& kernel, std::size_t max_offset,
+      double* storage = nullptr);
 
-  // Same, over caller-owned storage of at least window_capacity(kernel,
-  // max_offset) doubles (TapRegistry carves these from one arena).  The
-  // buffer must outlive the despreader; it is overwritten as bins
-  // arrive and need not be initialized.  nullptr means "allocate
-  // internally" — identical to the two-argument constructor.
-  OnlineDespreader(const watermark::CorrelationKernel& kernel,
-                   std::size_t max_offset, double* storage);
-
-  // Doubles of storage the external-storage constructor requires.
-  [[nodiscard]] static std::size_t window_capacity(
-      const watermark::CorrelationKernel& kernel,
-      std::size_t max_offset) noexcept {
-    return kernel.length() + max_offset;
-  }
+  // Doubles of storage the window needs: kernel.length() + max_offset,
+  // or InvalidArgument when that many doubles overflow std::size_t
+  // bytes.  The one place that sum is checked.
+  [[nodiscard]] static Result<std::size_t> window_capacity(
+      const watermark::CorrelationKernel& kernel, std::size_t max_offset);
 
   // Ingests the next rate bin.  Returns the offset score this bin
   // completed, if any (bin t finalizes offset t - n + 1).  Bins past
@@ -98,7 +93,6 @@ class OnlineDespreader {
   [[nodiscard]] const OnlineVerdict& verdict() const noexcept {
     return verdict_;
   }
-  [[nodiscard]] std::size_t bins_consumed() const noexcept { return bins_; }
   [[nodiscard]] std::uint64_t bins_ignored() const noexcept {
     return ignored_;
   }
@@ -110,6 +104,10 @@ class OnlineDespreader {
   }
 
  private:
+  OnlineDespreader(const watermark::CorrelationKernel& kernel,
+                   std::size_t max_offset, std::size_t window_len,
+                   double* storage);
+
   const watermark::CorrelationKernel& kernel_;
   std::size_t max_offset_;
   std::unique_ptr<double[]> owned_;  // null when storage is external

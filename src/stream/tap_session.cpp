@@ -4,93 +4,65 @@
 #include <string>
 #include <utility>
 
+#include "legal/admission.h"
 #include "obs/obs.h"
 
 namespace lexfor::stream {
 
-namespace {
-
-// Admission shared by both create overloads: validate the config,
-// evaluate the scenario, check the held authority, emit the audit
-// record.  Returns the determination on admit, the refusal status
-// otherwise — and in the refusal case the caller has allocated NOTHING
-// yet.
-Result<legal::Determination> admit(const watermark::CorrelationKernel& kernel,
-                                   const TapSessionConfig& config) {
-  if (!config.target.valid()) {
-    return InvalidArgument("TapSession: target node is invalid");
-  }
-  // The despread window holds kernel.length() + max_offset doubles; a
-  // max_offset that wraps that sum would size the window too small.
-  if (config.max_offset > SIZE_MAX - kernel.length()) {
-    return InvalidArgument(
-        "TapSession: max_offset overflows the despread window");
-  }
-
-  // Legal gate first: nothing is allocated for a session the engine or
-  // the held authority rules out.  The shared verdict cache makes the
-  // evaluation a lookup when the same posture was already linted.
-  legal::BatchEvaluator evaluator;
-  legal::Determination admission = evaluator.evaluate(config.scenario);
-  const legal::ProcessKind required = admission.needs_process
-                                          ? admission.required_process
-                                          : legal::ProcessKind::kNone;
-  const Status permitted = config.authority.permits(
-      required, config.scenario.data, config.location, config.ring.start);
-  if (!permitted.ok()) {
-    LEXFOR_OBS_COUNTER_ADD("stream.tap.refused", 1);
-    LEXFOR_OBS_EVENT(obs::Level::kAudit, "stream", "tap_refused",
-                     "scenario=" + config.scenario.name +
-                         ",required=" + std::string(to_string(required)),
-                     config.ring.start);
-    return permitted;
-  }
-
-  LEXFOR_OBS_COUNTER_ADD("stream.tap.admitted", 1);
-  LEXFOR_OBS_EVENT(obs::Level::kAudit, "stream", "tap_admitted",
-                   "scenario=" + config.scenario.name +
-                       ",required=" + std::string(to_string(required)) +
-                       ",held=" +
-                       std::string(to_string(config.authority.kind())),
-                   config.ring.start);
-  return admission;
-}
-
-}  // namespace
-
 Result<TapSession> TapSession::create(
     const watermark::CorrelationKernel& kernel, TapSessionConfig config) {
-  auto admission = admit(kernel, config);
-  if (!admission.ok()) return admission.status();
-
-  auto ring = RateRing::create(config.ring);
-  if (!ring.ok()) return ring.status();
-  return TapSession(kernel, std::move(config), std::move(admission).value(),
-                    std::move(ring).value(), /*window=*/nullptr);
+  return create_in(kernel, std::move(config), nullptr);
 }
 
 Result<TapSession> TapSession::create(
     const watermark::CorrelationKernel& kernel, TapSessionConfig config,
     util::Arena& arena) {
-  // Admission before ANY arena carve: a refused tap leaves the arena
-  // untouched (TapRegistry relies on this to keep its slab exactly
-  // sized to the admitted taps).
-  auto admission = admit(kernel, config);
-  if (!admission.ok()) return admission.status();
+  return create_in(kernel, std::move(config), &arena);
+}
+
+Result<TapSession> TapSession::create_in(
+    const watermark::CorrelationKernel& kernel, TapSessionConfig config,
+    util::Arena* arena) {
+  if (!config.target.valid()) {
+    return InvalidArgument("TapSession: target node is invalid");
+  }
+  const auto window_len =
+      OnlineDespreader::window_capacity(kernel, config.max_offset);
+  if (!window_len.ok()) return window_len.status();
+
+  // Legal gate before ANY allocation: nothing is allocated for a session
+  // the engine or the held authority rules out, and a refused tap
+  // leaves the arena untouched (TapRegistry relies on this to keep its
+  // slab exactly sized to the admitted taps).  The shared verdict cache
+  // makes the evaluation a lookup when the posture was already linted.
+  legal::Determination admission =
+      legal::BatchEvaluator{}.evaluate(config.scenario);
+  const legal::ProcessKind required = admission.needs_process
+                                          ? admission.required_process
+                                          : legal::ProcessKind::kNone;
+  const Status admitted = legal::admit(
+      {legal::AdmissionSite::kStreamTap, config.scenario.name, required,
+       config.scenario.data, config.location, config.ring.start},
+      config.authority);
+  if (!admitted.ok()) return admitted;
   if (config.ring.capacity == 0) {
     return InvalidArgument("RateRing: capacity must be positive");
   }
 
-  // One cache-line-aligned slab per tap: ring counters, then the
-  // despread window.
-  auto* bins =
-      arena.alloc_array_aligned<std::uint32_t>(config.ring.capacity, 64);
-  auto* window = arena.alloc_array_aligned<double>(
-      OnlineDespreader::window_capacity(kernel, config.max_offset), 64);
+  // On an arena: one cache-line-aligned slab per tap, ring counters then
+  // the despread window.  Without one, both allocate their own.
+  std::uint32_t* bins = nullptr;
+  double* window = nullptr;
+  if (arena != nullptr) {
+    bins = arena->alloc_array_aligned<std::uint32_t>(config.ring.capacity, 64);
+    window = arena->alloc_array_aligned<double>(window_len.value(), 64);
+  }
   auto ring = RateRing::create(config.ring, bins);
   if (!ring.ok()) return ring.status();
-  return TapSession(kernel, std::move(config), std::move(admission).value(),
-                    std::move(ring).value(), window);
+  auto despreader = OnlineDespreader::create(kernel, config.max_offset, window);
+  if (!despreader.ok()) return despreader.status();
+  return TapSession(std::move(config), std::move(admission),
+                    std::move(ring).value(), std::move(despreader).value());
 }
 
 Status TapSession::attach(netsim::Network& net) {

@@ -8,8 +8,9 @@
 //
 //   admission — create() runs the collection Scenario through
 //   legal::BatchEvaluator (shared process-wide verdict cache, so a
-//   verdict derived at plan-lint time is a hit here) and then checks
-//   the held GrantedAuthority against the determined minimum process.
+//   verdict derived at plan-lint time is a hit here) and hands the
+//   determined minimum process to legal::admit, the one gate every
+//   acquisition site passes.
 //   A non-compliant scenario or insufficient authority means NO
 //   SESSION EXISTS: zero bins are ever recorded, which is the
 //   acceptance bar, not a best-effort filter.
@@ -23,11 +24,12 @@
 //   OnlineDespreader, so the verdict is available the moment a full
 //   code period has been scored, bit-identical to the batch oracle.
 //
-// Obs surface: stream.tap.{admitted,refused,packets,foreign_packets,
-// bins,drops} counters, stream.tap.bin_latency_us histogram (sim-time
-// lag between a bin closing and it being scored), and the
-// stream.tap.ring_occupancy gauge.  Admission decisions are kAudit
-// trace events — part of the custody record.
+// Obs surface: stream.tap.{packets,foreign_packets,bins,drops}
+// counters, stream.tap.bin_latency_us histogram (sim-time lag between a
+// bin closing and it being scored), and the stream.tap.ring_occupancy
+// gauge.  Admission decisions are legal::admit's legal.admission.
+// stream_tap.* counters and kAudit "legal"/"admission" events — part of
+// the custody record.
 
 #pragma once
 
@@ -67,10 +69,10 @@ struct TapSessionStats {
 
 class TapSession {
  public:
-  // The legal gate.  Evaluates `config.scenario`, checks the authority,
-  // and refuses (PermissionDenied / InvalidArgument) before any
-  // recording state is allocated.  An invalid target, or a max_offset
-  // for which kernel.length() + max_offset overflows, is
+  // The legal gate.  Evaluates `config.scenario`, passes it through
+  // legal::admit, and refuses (PermissionDenied / InvalidArgument)
+  // before any recording state is allocated.  An invalid target, or a
+  // max_offset OnlineDespreader::window_capacity refuses, is
   // InvalidArgument.  The kernel must outlive the session.
   [[nodiscard]] static Result<TapSession> create(
       const watermark::CorrelationKernel& kernel, TapSessionConfig config);
@@ -118,14 +120,17 @@ class TapSession {
   }
 
  private:
-  // window == nullptr: the despreader owns its buffer (heap path).
-  TapSession(const watermark::CorrelationKernel& kernel,
-             TapSessionConfig config, legal::Determination admission,
-             RateRing ring, double* window)
+  // Both create overloads; arena == nullptr allocates on the heap.
+  [[nodiscard]] static Result<TapSession> create_in(
+      const watermark::CorrelationKernel& kernel, TapSessionConfig config,
+      util::Arena* arena);
+
+  TapSession(TapSessionConfig config, legal::Determination admission,
+             RateRing ring, OnlineDespreader despreader)
       : config_(std::move(config)),
         admission_(std::move(admission)),
         ring_(std::move(ring)),
-        despreader_(kernel, config_.max_offset, window) {}
+        despreader_(std::move(despreader)) {}
 
   TapSessionConfig config_;
   legal::Determination admission_;

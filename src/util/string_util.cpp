@@ -1,6 +1,7 @@
 #include "util/string_util.h"
 
 #include <cctype>
+#include <cstdio>
 
 namespace lexfor {
 
@@ -46,6 +47,44 @@ std::string to_lower(std::string_view s) {
   std::string out(s);
   for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
   return out;
+}
+
+void append_json_escaped(std::string& out, std::string_view text) {
+  for (const char c : text) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+}
+
+std::string json_quoted(std::string_view text) {
+  std::string out;
+  out.reserve(text.size() + 2);
+  out += '"';
+  append_json_escaped(out, text);
+  out += '"';
+  return out;
+}
+
+std::string json_string_array(const std::vector<std::string>& items) {
+  std::string out = "[";
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    if (i != 0) out += ',';
+    out += json_quoted(items[i]);
+  }
+  return out + ']';
 }
 
 }  // namespace lexfor

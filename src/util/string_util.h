@@ -25,4 +25,15 @@ namespace lexfor {
 // ASCII lowercase copy.
 [[nodiscard]] std::string to_lower(std::string_view s);
 
+// Appends `text` to `out` with JSON string escaping: quote, backslash,
+// \n \r \t, and \u00XX for the other control characters.
+void append_json_escaped(std::string& out, std::string_view text);
+
+// `text` escaped as above and wrapped in quotes: a JSON string literal.
+[[nodiscard]] std::string json_quoted(std::string_view text);
+
+// `items` as a JSON array of such literals.
+[[nodiscard]] std::string json_string_array(
+    const std::vector<std::string>& items);
+
 }  // namespace lexfor

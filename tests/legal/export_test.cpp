@@ -7,19 +7,6 @@
 namespace lexfor::legal {
 namespace {
 
-TEST(JsonEscapeTest, PlainStringsQuoted) {
-  EXPECT_EQ(json_escape("hello"), "\"hello\"");
-  EXPECT_EQ(json_escape(""), "\"\"");
-}
-
-TEST(JsonEscapeTest, SpecialsEscaped) {
-  EXPECT_EQ(json_escape("a\"b"), "\"a\\\"b\"");
-  EXPECT_EQ(json_escape("a\\b"), "\"a\\\\b\"");
-  EXPECT_EQ(json_escape("line1\nline2"), "\"line1\\nline2\"");
-  EXPECT_EQ(json_escape("tab\there"), "\"tab\\there\"");
-  EXPECT_EQ(json_escape(std::string(1, '\x01')), "\"\\u0001\"");
-}
-
 TEST(DeterminationJsonTest, ContainsAllSections) {
   const auto d =
       ComplianceEngine{}.evaluate(table1::scene(18).scenario);

@@ -43,12 +43,6 @@ bool json_balanced(const std::string& text) {
   return braces == 0 && brackets == 0 && !in_string;
 }
 
-TEST(ObsSinkTest, JsonEscaping) {
-  std::string out;
-  append_json_escaped(out, "a\"b\\c\nd\te");
-  EXPECT_EQ(out, "a\\\"b\\\\c\\nd\\te");
-}
-
 TEST(ObsSinkTest, ArgsToJsonExpandsPairs) {
   EXPECT_EQ(args_to_json("k=v"), "\"k\":\"v\"");
   EXPECT_EQ(args_to_json("a=1,b=two"), "\"a\":\"1\",\"b\":\"two\"");

@@ -76,7 +76,8 @@ namespace lexfor::oracles {
         tornet::bin_arrivals(arrivals, expected_shift_sec, chip_sec, n_chips);
     ++result.sim_passes;
 
-    stream::OnlineDespreader despreader(kernel, /*max_offset=*/0);
+    auto despreader =
+        stream::OnlineDespreader::create(kernel, /*max_offset=*/0).value();
     for (const std::uint32_t count : bins) {
       (void)despreader.push(static_cast<double>(count));
     }

@@ -163,7 +163,7 @@ TEST(WireTest, RejectsBadMagicKindReservedEnumsAndFlags) {
         << "enum byte " << i;
   }
 
-  // A flag bit above kScenarioBoolCount must be zero.
+  // A flag bit above legal::kScenarioFlagCount must be zero.
   f = pristine;
   f[enums_at + 6 + 3] |= 0x80;  // top bit of the flags u32
   EXPECT_EQ(decode_request(f, req).code(), StatusCode::kInvalidArgument);

@@ -69,7 +69,7 @@ TEST(OnlineDespreaderTest, RandomizedStreamingMatchesBatchScanBitForBit) {
         random_series(code, embed_offset, tail, marked, 0.3, sigma, rng);
 
     const CorrelationKernel kernel(code);
-    OnlineDespreader online(kernel, max_offset);
+    auto online = OnlineDespreader::create(kernel, max_offset).value();
     for (const double r : rates) (void)online.push(r);
 
     if (rates.size() >= code.length() + max_offset) {
@@ -98,7 +98,7 @@ TEST(OnlineDespreaderTest, AlignedStreamMatchesDetectorDetectBitForBit) {
     const auto rates = random_series(code, 0, 0, marked, 0.35, sigma, rng);
 
     const CorrelationKernel kernel(code);
-    OnlineDespreader online(kernel, 0);
+    auto online = OnlineDespreader::create(kernel, 0).value();
     for (const double r : rates) (void)online.push(r);
     ASSERT_TRUE(online.verdict().complete);
 
@@ -122,7 +122,7 @@ TEST(OnlineDespreaderTest, EmitsPerOffsetScoresInIncreasingOrderAtTheRightBin) {
   const std::size_t n = code.length();
   const CorrelationKernel kernel(code);
   const std::size_t max_offset = 5;
-  OnlineDespreader online(kernel, max_offset);
+  auto online = OnlineDespreader::create(kernel, max_offset).value();
 
   Rng rng{11};
   std::vector<double> rates;
@@ -151,7 +151,7 @@ TEST(OnlineDespreaderTest, EmitsPerOffsetScoresInIncreasingOrderAtTheRightBin) {
 TEST(OnlineDespreaderTest, ExtraBinsAfterCompletionAreCountedAndIgnored) {
   const auto code = PnCode::m_sequence(5).value();
   const CorrelationKernel kernel(code);
-  OnlineDespreader online(kernel, 2);
+  auto online = OnlineDespreader::create(kernel, 2).value();
 
   Rng rng{3};
   for (std::size_t i = 0; i < code.length() + 2; ++i) {
@@ -173,7 +173,7 @@ TEST(OnlineDespreaderTest, MemoryStaysConstantOverArbitrarilyLongStreams) {
   const auto code = PnCode::m_sequence(7).value();  // n = 127
   const CorrelationKernel kernel(code);
   const std::size_t max_offset = 32;
-  OnlineDespreader online(kernel, max_offset);
+  auto online = OnlineDespreader::create(kernel, max_offset).value();
 
   // One flat window: every bin a candidate offset can read, presized.
   const std::size_t expected = code.length() + max_offset;
@@ -183,6 +183,38 @@ TEST(OnlineDespreaderTest, MemoryStaysConstantOverArbitrarilyLongStreams) {
     (void)online.push(rng.normal(100.0, 10.0));
     ASSERT_EQ(online.memory_doubles(), expected);
   }
+}
+
+TEST(OnlineDespreaderTest, MaxOffsetWhoseWindowOverflowsIsRefused) {
+  // The window is kernel.length() + max_offset doubles.  A max_offset
+  // that wraps the sum (SIZE_MAX wraps it to n - 1 doubles, so pushing n
+  // bins would write past the window) or its byte size is refused
+  // before anything is allocated, on both the heap and the external
+  // storage path.
+  const auto code = PnCode::m_sequence(5).value();  // n = 31
+  const CorrelationKernel kernel(code);
+  const std::size_t n = code.length();
+  const std::size_t max_doubles = SIZE_MAX / sizeof(double);
+  double storage[64] = {};
+  for (const std::size_t max_offset :
+       {SIZE_MAX, SIZE_MAX - n + 1, max_doubles - n + 1}) {
+    const auto capacity = OnlineDespreader::window_capacity(kernel, max_offset);
+    ASSERT_FALSE(capacity.ok()) << max_offset;
+    EXPECT_EQ(capacity.status().code(), StatusCode::kInvalidArgument);
+    const auto heap = OnlineDespreader::create(kernel, max_offset);
+    ASSERT_FALSE(heap.ok()) << max_offset;
+    EXPECT_EQ(heap.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_FALSE(OnlineDespreader::create(kernel, max_offset, storage).ok());
+  }
+  // The largest window that fits is accepted (but not allocated here).
+  const auto largest = OnlineDespreader::window_capacity(kernel, max_doubles - n);
+  ASSERT_TRUE(largest.ok());
+  EXPECT_EQ(largest.value(), max_doubles);
+
+  // A fitting window still streams normally over external storage.
+  auto online = OnlineDespreader::create(kernel, 2, storage).value();
+  for (std::size_t i = 0; i < n + 2; ++i) (void)online.push(100.0);
+  EXPECT_TRUE(online.verdict().complete);
 }
 
 }  // namespace

@@ -137,7 +137,7 @@ TEST(TapRegistryTest, DirectFeedMatchesStandaloneDespreader) {
           .add_tap(kernel, tap_config(NodeId{1}, SimDuration::from_ms(100.0),
                                       code.length()))
           .ok());
-  OnlineDespreader reference(kernel, /*max_offset=*/0);
+  auto reference = OnlineDespreader::create(kernel, /*max_offset=*/0).value();
   for (const double b : bins) {
     registry.feed_bin(0, b);
     (void)reference.push(b);

@@ -51,5 +51,24 @@ TEST(StringUtilTest, ToLower) {
   EXPECT_EQ(to_lower("123!?"), "123!?");
 }
 
+TEST(JsonEscapeTest, PlainStringsQuoted) {
+  EXPECT_EQ(json_quoted("hello"), "\"hello\"");
+  EXPECT_EQ(json_quoted(""), "\"\"");
+}
+
+TEST(JsonEscapeTest, SpecialsEscaped) {
+  EXPECT_EQ(json_quoted("a\"b"), "\"a\\\"b\"");
+  EXPECT_EQ(json_quoted("a\\b"), "\"a\\\\b\"");
+  EXPECT_EQ(json_quoted("line1\nline2"), "\"line1\\nline2\"");
+  EXPECT_EQ(json_quoted("tab\there"), "\"tab\\there\"");
+  EXPECT_EQ(json_quoted(std::string(1, '\x01')), "\"\\u0001\"");
+}
+
+TEST(JsonEscapeTest, AppendsEscapedTextWithoutQuotes) {
+  std::string out = "x";
+  append_json_escaped(out, "a\"b\\c\nd\te");
+  EXPECT_EQ(out, "xa\\\"b\\\\c\\nd\\te");
+}
+
 }  // namespace
 }  // namespace lexfor
