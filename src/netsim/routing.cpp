@@ -68,6 +68,8 @@ const RouteCache::Tree& RouteCache::tree_for(NodeId src,
   const std::size_t n = adj.size();
   Tree tree;
   tree.nodes = n;
+  // `n` is the node count of a live adjacency list, so neither array's
+  // byte size can overflow and alloc_array never returns null here.
   tree.parent = arena_.alloc_array<NodeId>(n);
   tree.seen = arena_.alloc_array<std::uint8_t>(n);
   std::fill(tree.seen, tree.seen + n, std::uint8_t{0});

@@ -8,9 +8,10 @@
 //                           relaxed atomic load) and, when tracing is
 //                           on, an event emission; metric macros expand
 //                           to one cached-reference atomic op.
-//   LEXFOR_OBS=0            macros expand to nothing at all — argument
-//                           expressions are not evaluated, no symbols
-//                           are referenced.  (cmake -DLEXFOR_OBS=OFF)
+//   LEXFOR_OBS=0            macros expand to no code at all — argument
+//                           expressions appear only in an unevaluated
+//                           sizeof, so nothing runs and no symbol is
+//                           odr-used.  (cmake -DLEXFOR_OBS=OFF)
 //
 // Event/span macros take an explicit SimTime where the emitter runs
 // under a simulation clock and lexfor::obs::no_sim_time() elsewhere, so
@@ -119,13 +120,22 @@ namespace lexfor::obs {
 
 #else  // LEXFOR_OBS == 0: erase instrumentation entirely.
 
-#define LEXFOR_OBS_SPAN(level, category, name, args, sim) ((void)0)
-#define LEXFOR_OBS_EVENT(level, category, name, args, sim) ((void)0)
-#define LEXFOR_OBS_TRACK(level, category, name, value, sim) ((void)0)
-#define LEXFOR_OBS_COUNTER_ADD(name, delta) ((void)0)
-#define LEXFOR_OBS_GAUGE_SET(name, value) ((void)0)
-#define LEXFOR_OBS_HISTOGRAM_RECORD(name, sample) ((void)0)
-#define LEXFOR_OBS_PROFILE(name) ((void)0)
+// The arguments stay named, but only inside an unevaluated sizeof:
+// nothing runs, and a value computed only to be traced does not become
+// an unused variable, parameter or function.
+#define LEXFOR_OBS_ERASED(...) ((void)sizeof((__VA_ARGS__, 0)))
+
+#define LEXFOR_OBS_SPAN(level, category, name, args, sim) \
+  LEXFOR_OBS_ERASED(level, category, name, args, sim)
+#define LEXFOR_OBS_EVENT(level, category, name, args, sim) \
+  LEXFOR_OBS_ERASED(level, category, name, args, sim)
+#define LEXFOR_OBS_TRACK(level, category, name, value, sim) \
+  LEXFOR_OBS_ERASED(level, category, name, value, sim)
+#define LEXFOR_OBS_COUNTER_ADD(name, delta) LEXFOR_OBS_ERASED(name, delta)
+#define LEXFOR_OBS_GAUGE_SET(name, value) LEXFOR_OBS_ERASED(name, value)
+#define LEXFOR_OBS_HISTOGRAM_RECORD(name, sample) \
+  LEXFOR_OBS_ERASED(name, sample)
+#define LEXFOR_OBS_PROFILE(name) LEXFOR_OBS_ERASED(name)
 #define LEXFOR_OBS_WARM_THREAD() ((void)0)
 
 #endif  // LEXFOR_OBS

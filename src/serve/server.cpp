@@ -142,6 +142,8 @@ ServeStats VerdictServer::serve(Connection& conn,
   }
 
   // --- Evaluation fan-out. ------------------------------------------
+  // `accepted` counts frames already held in `frames`, so the array's
+  // byte size cannot overflow and alloc_array never returns null here.
   Pending* pending = conn.arena_.alloc_array<Pending>(accepted);
   for (std::size_t i = 0; i < accepted; ++i) pending[i] = Pending{};
 

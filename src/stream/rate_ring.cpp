@@ -11,15 +11,27 @@ Result<RateRing> RateRing::create(RateRingConfig config) {
   return create(config, nullptr);
 }
 
-Result<RateRing> RateRing::create(RateRingConfig config,
-                                  std::uint32_t* storage) {
+Status RateRing::validate(const RateRingConfig& config) {
   if (config.capacity == 0) {
     return InvalidArgument("RateRing: capacity must be positive");
+  }
+  if (config.capacity > kMaxCapacity) {
+    return InvalidArgument("RateRing: capacity " +
+                           std::to_string(config.capacity) +
+                           " exceeds the bound of " +
+                           std::to_string(kMaxCapacity) + " bins");
   }
   if (config.bin_width.us <= 0) {
     return InvalidArgument("RateRing: bin width must be positive, got " +
                            std::to_string(config.bin_width.us) + "us");
   }
+  return Status::Ok();
+}
+
+Result<RateRing> RateRing::create(RateRingConfig config,
+                                  std::uint32_t* storage) {
+  const Status valid = validate(config);
+  if (!valid.ok()) return valid;
   return RateRing(config, storage);
 }
 

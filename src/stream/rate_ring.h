@@ -56,6 +56,17 @@ enum class RecordOutcome : std::uint8_t {
 
 class RateRing {
  public:
+  // The most bins a ring may hold: 2^24 counters (64 MiB), about 77
+  // days of history at the default 400 ms bin.  The bound keeps every
+  // capacity-sized allocation, on the heap or on an arena, far from
+  // std::size_t overflow.
+  static constexpr std::size_t kMaxCapacity = std::size_t{1} << 24;
+
+  // The checks create() makes on `config`: a capacity in
+  // [1, kMaxCapacity] and a positive bin width.  TapSession runs them
+  // before it carves the ring's storage from an arena.
+  [[nodiscard]] static Status validate(const RateRingConfig& config);
+
   [[nodiscard]] static Result<RateRing> create(RateRingConfig config);
 
   // Same ring over caller-owned storage of `config.capacity` counters

@@ -45,9 +45,10 @@ Result<TapSession> TapSession::create_in(
        config.scenario.data, config.location, config.ring.start},
       config.authority);
   if (!admitted.ok()) return admitted;
-  if (config.ring.capacity == 0) {
-    return InvalidArgument("RateRing: capacity must be positive");
-  }
+  // The ring is checked before its storage is carved, so a bad ring
+  // config leaves the arena untouched too.
+  const Status ring_valid = RateRing::validate(config.ring);
+  if (!ring_valid.ok()) return ring_valid;
 
   // On an arena: one cache-line-aligned slab per tap, ring counters then
   // the despread window.  Without one, both allocate their own.
@@ -56,6 +57,9 @@ Result<TapSession> TapSession::create_in(
   if (arena != nullptr) {
     bins = arena->alloc_array_aligned<std::uint32_t>(config.ring.capacity, 64);
     window = arena->alloc_array_aligned<double>(window_len.value(), 64);
+    if (bins == nullptr || window == nullptr) {
+      return InvalidArgument("TapSession: tap storage overflows the arena");
+    }
   }
   auto ring = RateRing::create(config.ring, bins);
   if (!ring.ok()) return ring.status();

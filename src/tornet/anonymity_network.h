@@ -9,7 +9,9 @@
 
 #pragma once
 
+#include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "util/ids.h"
@@ -47,11 +49,23 @@ class AnonymityNetwork {
   // Carries a flow through the circuit: given packet send times (sec,
   // ascending), returns arrival times at the far end (sec, sorted).
   // Each packet independently accrues per-relay latency + jitter +
-  // batching delay; reordering is resolved by sorting, since detection
-  // operates on the counting process, not packet identity.
+  // batching delay; reordering is resolved by sorting.  Detection only
+  // needs arrival counts (see transit_binned), so the sort serves the
+  // callers that need the arrival times themselves.
   [[nodiscard]] std::vector<double> transit(const Circuit& circuit,
                                             const std::vector<double>& send_sec,
                                             Rng& rng) const;
+
+  // Carries a flow through the circuit and counts each arrival straight
+  // into its window: `bins` is overwritten with the bins.size() counts
+  // bin_arrivals(transit(circuit, send_sec, rng), start_sec, window_sec,
+  // bins.size()) would return, bit for bit, from the same Rng draws in
+  // the same order.  Counts do not depend on arrival order, so no
+  // arrivals vector is kept and nothing is sorted.
+  void transit_binned(const Circuit& circuit,
+                      const std::vector<double>& send_sec, double start_sec,
+                      double window_sec, std::span<std::uint32_t> bins,
+                      Rng& rng) const;
 
  private:
   TorConfig config_;

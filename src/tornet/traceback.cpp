@@ -1,7 +1,9 @@
 #include "tornet/traceback.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <functional>
+#include <vector>
 
 #include "stream/tap_registry.h"
 #include "watermark/correlate.h"
@@ -49,12 +51,14 @@ watermark::Embedder make_mark(const watermark::PnCode& code,
 // The one flow simulation behind run_traceback, run_streaming_traceback
 // and run_multiflow_traceback: build a circuit, draw the server's
 // Poisson sends (rate-modulated by `mark` when it is non-null), carry
-// them through the circuit, and bin the client-side arrivals into
-// shape.n_chips chip windows written to `out`.  Every random draw comes
+// them through the circuit counting each client-side arrival into its
+// chip window, and write the shape.n_chips counts to `out`.  `counts`
+// is scratch the caller reuses across flows.  Every random draw comes
 // from `rng`, in that order.  Each step is a call into
 // anonymity_network.cpp, so the loop stays in this file.
 Status simulate_flow(const AnonymityNetwork& net, const FlowShape& shape,
-                     const watermark::Embedder* mark, Rng& rng, double* out) {
+                     const watermark::Embedder* mark, Rng& rng,
+                     std::vector<std::uint32_t>& counts, double* out) {
   const double chip_sec = shape.chip_ms * 1e-3;
   // Generate past the code window so late (jittered) packets still land
   // in their chip bins.
@@ -78,10 +82,10 @@ Status simulate_flow(const AnonymityNetwork& net, const FlowShape& shape,
   }
   const auto sends = generate_modulated_poisson(
       shape.base_rate_pps, t_end, 1.0 + shape.depth, multiplier, rng);
-  const auto arrivals = net.transit(circuit_r.value(), sends, rng);
-  const auto bins =
-      bin_arrivals(arrivals, expected_shift_sec, chip_sec, shape.n_chips);
-  std::copy(bins.begin(), bins.end(), out);
+  counts.resize(shape.n_chips);
+  net.transit_binned(circuit_r.value(), sends, expected_shift_sec, chip_sec,
+                     counts, rng);
+  std::copy(counts.begin(), counts.end(), out);
   return Status::Ok();
 }
 
@@ -102,12 +106,13 @@ Status simulate_flow_rates(const TracebackConfig& config,
   const AnonymityNetwork net(config.network);
   const std::size_t num_flows = 1 + config.num_decoys;
   rates.resize(num_flows * shape.n_chips);
+  std::vector<std::uint32_t> counts;
   for (std::size_t flow = 0; flow < num_flows; ++flow) {
     Rng flow_rng = Rng::sub_stream(config.seed, flow);
     // The suspect's flow (flow 0) carries the mark.
     const Status sim =
         simulate_flow(net, shape, flow == 0 ? &mark : nullptr, flow_rng,
-                      rates.data() + flow * shape.n_chips);
+                      counts, rates.data() + flow * shape.n_chips);
     if (!sim.ok()) return sim;
   }
   return Status::Ok();
@@ -265,7 +270,9 @@ Result<MultiflowResult> run_multiflow_traceback(const MultiflowConfig& config) {
   const AnonymityNetwork net(config.network);
   Rng rng(config.seed);
   std::vector<double> rates(shape.n_chips);
-  const Status sim = simulate_flow(net, shape, &mark, rng, rates.data());
+  std::vector<std::uint32_t> counts;
+  const Status sim =
+      simulate_flow(net, shape, &mark, rng, counts, rates.data());
   if (!sim.ok()) return sim;
 
   // One tap, every account's code: a kernel per Gold code, all scanning

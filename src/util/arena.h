@@ -48,10 +48,12 @@ class Arena {
 
   // Returns `bytes` of storage aligned to `align` (a power of two).
   // Never returns nullptr; allocations larger than the chunk size get a
-  // dedicated chunk.  The returned ADDRESS is aligned, not merely the
-  // offset into the chunk: alignments above what operator new[] grants
-  // (typically 16) are honoured, which is what the SIMD despread lane
-  // relies on for its 64-byte chip/window buffers.
+  // dedicated chunk.  `bytes + align` must not overflow std::size_t
+  // (alloc_array and alloc_array_aligned check that for their callers).
+  // The returned ADDRESS is aligned, not merely the offset into the
+  // chunk: alignments above what operator new[] grants (typically 16)
+  // are honoured, which is what the SIMD despread lane relies on for its
+  // 64-byte chip/window buffers.
   [[nodiscard]] void* allocate(std::size_t bytes, std::size_t align) {
     if (bytes == 0) bytes = 1;
     if (chunk_ < chunks_.size()) {
@@ -59,7 +61,8 @@ class Arena {
           reinterpret_cast<std::uintptr_t>(chunks_[chunk_].data.get());
       const std::size_t aligned =
           ((base + used_ + (align - 1)) & ~(align - 1)) - base;
-      if (aligned + bytes <= chunks_[chunk_].size) {
+      if (aligned <= chunks_[chunk_].size &&
+          bytes <= chunks_[chunk_].size - aligned) {
         used_ = aligned + bytes;
         total_allocated_ += bytes;
         return chunks_[chunk_].data.get() + aligned;
@@ -78,23 +81,26 @@ class Arena {
 
   // Typed over-aligned array: n elements of T starting on an `align`
   // boundary (align >= alignof(T), power of two).  Uninitialized, like
-  // alloc_array.
+  // alloc_array, and nullptr under the same overflow rule.
   template <typename T>
   [[nodiscard]] T* alloc_array_aligned(std::size_t n, std::size_t align) {
     static_assert(std::is_trivially_destructible_v<T>,
                   "Arena never runs destructors");
-    return static_cast<T*>(
-        allocate_aligned(n * sizeof(T), align < alignof(T) ? alignof(T)
-                                                           : align));
+    if (align < alignof(T)) align = alignof(T);
+    if (!array_fits<T>(n, align)) return nullptr;
+    return static_cast<T*>(allocate_aligned(n * sizeof(T), align));
   }
 
   // Typed array allocation.  Value-initializes nothing: callers fill the
   // array themselves.  T must be trivially destructible — the arena
-  // never runs destructors.
+  // never runs destructors.  Returns nullptr, and leaves the arena as it
+  // was, when n * sizeof(T) plus the alignment slack overflows
+  // std::size_t.
   template <typename T>
   [[nodiscard]] T* alloc_array(std::size_t n) {
     static_assert(std::is_trivially_destructible_v<T>,
                   "Arena never runs destructors");
+    if (!array_fits<T>(n, alignof(T))) return nullptr;
     return static_cast<T*>(allocate(n * sizeof(T), alignof(T)));
   }
 
@@ -123,6 +129,14 @@ class Arena {
     std::unique_ptr<std::byte[]> data;
     std::size_t size = 0;
   };
+
+  // Whether n elements of T, plus up to `align` bytes of alignment
+  // slack, can be counted in std::size_t.
+  template <typename T>
+  [[nodiscard]] static bool array_fits(std::size_t n,
+                                       std::size_t align) noexcept {
+    return n <= (SIZE_MAX - align) / sizeof(T);
+  }
 
   [[nodiscard]] void* allocate_slow(std::size_t bytes, std::size_t align) {
     // Advance to the next retained chunk that fits, or mint a new one.

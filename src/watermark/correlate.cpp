@@ -130,6 +130,8 @@ CorrelationKernel& CorrelationKernel::operator=(const CorrelationKernel& other) 
 }
 
 void CorrelationKernel::build_aligned_lane() {
+  // The lane mirrors chips_f64_, a vector already that many doubles
+  // long, so the size cannot overflow and the allocation is never null.
   chips_aligned_ = lane_arena_.alloc_array_aligned<double>(
       chips_f64_.size(), /*align=*/64);
   std::copy(chips_f64_.begin(), chips_f64_.end(), chips_aligned_);

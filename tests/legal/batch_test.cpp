@@ -209,6 +209,10 @@ TEST(BatchEvaluatorTest, RepeatedQueriesHitTheCache) {
 
   const std::uint64_t hit_delta = hits.value() - hits_before;
   const std::uint64_t miss_delta = misses.value() - misses_before;
+#if !LEXFOR_OBS
+  // -DLEXFOR_OBS=OFF erases the counters this test reads the cache by.
+  EXPECT_EQ(hit_delta + miss_delta, 0u);
+#else
   EXPECT_EQ(hit_delta + miss_delta, batch.size());
   // 20 distinct scenarios, 200 queries: at most one miss per distinct
   // scenario per racing worker; with the serial fallback this is
@@ -216,6 +220,7 @@ TEST(BatchEvaluatorTest, RepeatedQueriesHitTheCache) {
   // >= 90% hit rate.
   EXPECT_GE(miss_delta, 20u);
   EXPECT_GE(hit_delta, batch.size() - 2 * 20);
+#endif  // LEXFOR_OBS
 }
 
 TEST(BatchEvaluatorTest, SharedCacheIsVisibleAcrossEvaluators) {
@@ -229,7 +234,8 @@ TEST(BatchEvaluatorTest, SharedCacheIsVisibleAcrossEvaluators) {
   (void)first.evaluate(s);
   const std::uint64_t hits_before = hits.value();
   expect_identical(second.evaluate(s), first.engine().evaluate(s));
-  EXPECT_EQ(hits.value(), hits_before + 1);
+  // -DLEXFOR_OBS=OFF erases the counter.
+  EXPECT_EQ(hits.value(), hits_before + (LEXFOR_OBS ? 1 : 0));
 }
 
 TEST(BatchEvaluatorTest, EmptyBatchReturnsEmpty) {

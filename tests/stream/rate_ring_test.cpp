@@ -30,6 +30,18 @@ TEST(RateRingTest, RejectsDegenerateConfig) {
   EXPECT_FALSE(RateRing::create(negative).ok());
 }
 
+TEST(RateRingTest, RejectsCapacityPastTheBound) {
+  for (const std::size_t capacity :
+       {RateRing::kMaxCapacity + 1, SIZE_MAX / 4 + 2, SIZE_MAX}) {
+    EXPECT_EQ(RateRing::create(config_ms(10, capacity)).status().code(),
+              StatusCode::kInvalidArgument);
+    std::uint32_t storage[2] = {};
+    EXPECT_EQ(
+        RateRing::create(config_ms(10, capacity), storage).status().code(),
+        StatusCode::kInvalidArgument);
+  }
+}
+
 TEST(RateRingTest, BinsEventsAndPopsClosedWindows) {
   auto ring = RateRing::create(config_ms(100, 8)).value();
   // Two events in bin 0, one in bin 1, silence in bin 2, one in bin 3.

@@ -126,6 +126,25 @@ TEST(TapSessionTest, MaxOffsetWhoseWindowOverflowsIsInvalidArgument) {
   }
 }
 
+TEST(TapSessionTest, ExtremeRingCapacityIsInvalidArgumentOnBothPaths) {
+  // SIZE_MAX / 4 + 2 counters wrap to an 8-byte slab when multiplied
+  // out; SIZE_MAX wraps the heap path's allocation size.  Both must be
+  // refused as a Status, with nothing allocated, on both overloads.
+  const auto code = PnCode::m_sequence(5).value();
+  const CorrelationKernel kernel(code);
+  for (const std::size_t capacity : {SIZE_MAX / 4 + 2, SIZE_MAX}) {
+    const auto cfg = base_config(NodeId{1}, SimDuration::from_ms(100.0),
+                                 capacity);
+    EXPECT_EQ(TapSession::create(kernel, cfg).status().code(),
+              StatusCode::kInvalidArgument);
+    util::Arena arena;
+    EXPECT_EQ(TapSession::create(kernel, cfg, arena).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(arena.bytes_allocated(), 0u);
+    EXPECT_EQ(arena.chunk_count(), 0u);
+  }
+}
+
 TEST(TapSessionTest, DetectsLiveWatermarkEndToEnd) {
   // Server modulates its send rate with the PN code; the tap at the
   // suspect's access node must find the mark from live traversals.

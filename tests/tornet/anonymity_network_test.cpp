@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <set>
+#include <string>
+#include <vector>
 
 namespace lexfor::tornet {
 namespace {
@@ -79,6 +83,81 @@ TEST(TransitTest, RateEnvelopeSurvivesTheCircuit) {
   const auto busy = bins[0] + bins[1] + bins[2];
   const auto sparse = bins[4] + bins[5] + bins[6] + bins[7];
   EXPECT_GT(busy, sparse * 3);
+}
+
+// Runs transit_binned and the sort-then-bin route from two copies of
+// one Rng, expects equal bins and equal Rng end states (the same draws
+// in the same order), and returns the sorted arrivals so a case can
+// check it reached the edge it is about.
+std::vector<double> expect_binned_matches_sorted(const TorConfig& cfg,
+                                                 std::uint64_t seed,
+                                                 double start_sec,
+                                                 double window_sec,
+                                                 std::size_t num_windows) {
+  SCOPED_TRACE("seed " + std::to_string(seed));
+  const AnonymityNetwork net(cfg);
+  Rng rng{seed};
+  const auto c = net.build_circuit(rng).value();
+  const auto sends = generate_modulated_poisson(400.0, 3.0, 1.0, nullptr, rng);
+  Rng fused_rng = rng;
+  std::vector<std::uint32_t> fused(num_windows, 7u);  // stale counts
+  net.transit_binned(c, sends, start_sec, window_sec, fused, fused_rng);
+  const auto arrivals = net.transit(c, sends, rng);
+  EXPECT_EQ(fused, bin_arrivals(arrivals, start_sec, window_sec, num_windows));
+  EXPECT_EQ(fused_rng(), rng());
+  return arrivals;
+}
+
+TorConfig heavy_jitter() {
+  TorConfig cfg;
+  cfg.relay_jitter_ms = 400.0;
+  cfg.relay_batch_ms = 120.0;
+  return cfg;
+}
+
+TEST(TransitBinnedTest, MatchesSortThenBinAcrossSeedsAndConfigs) {
+  for (const TorConfig& cfg : {TorConfig{}, heavy_jitter()}) {
+    for (std::uint64_t seed = 20; seed < 26; ++seed) {
+      // Windows aligned at the mean circuit delay, as the traceback does.
+      const auto arrivals =
+          expect_binned_matches_sorted(cfg, seed, 0.2, 0.05, 60);
+      EXPECT_GT(arrivals.size(), 1000u);
+    }
+  }
+}
+
+TEST(TransitBinnedTest, ArrivalsBeforeTheStartAreSkipped) {
+  for (const TorConfig& cfg : {TorConfig{}, heavy_jitter()}) {
+    for (std::uint64_t seed = 30; seed < 34; ++seed) {
+      const auto arrivals =
+          expect_binned_matches_sorted(cfg, seed, 1.0, 0.1, 40);
+      EXPECT_LT(arrivals.front(), 1.0);
+    }
+  }
+}
+
+TEST(TransitBinnedTest, ArrivalsPastTheLastWindowAreSkipped) {
+  for (const TorConfig& cfg : {TorConfig{}, heavy_jitter()}) {
+    for (std::uint64_t seed = 40; seed < 44; ++seed) {
+      const auto arrivals =
+          expect_binned_matches_sorted(cfg, seed, 0.0, 0.07, 16);
+      EXPECT_GE(arrivals.back(), 0.07 * 16);
+    }
+  }
+}
+
+TEST(TransitBinnedTest, NonPositiveWindowGivesZerosAndKeepsTheDraws) {
+  for (const double window : {0.0, -0.5}) {
+    for (std::uint64_t seed = 50; seed < 53; ++seed) {
+      (void)expect_binned_matches_sorted(TorConfig{}, seed, 0.0, window, 8);
+    }
+  }
+  const AnonymityNetwork net(TorConfig{});
+  Rng rng{54};
+  const auto c = net.build_circuit(rng).value();
+  std::vector<std::uint32_t> bins(5, 3u);
+  net.transit_binned(c, {0.1, 0.2}, 0.0, 0.0, bins, rng);
+  EXPECT_EQ(bins, std::vector<std::uint32_t>(5, 0u));
 }
 
 TEST(PoissonTest, HomogeneousRateMatches) {

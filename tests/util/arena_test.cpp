@@ -35,6 +35,19 @@ TEST(ArenaTest, OverAlignedAllocationsAreAddressAligned) {
   }
 }
 
+TEST(ArenaTest, OverflowingArrayIsNullAndLeavesTheArenaUntouched) {
+  Arena arena;
+  for (const std::size_t n : {SIZE_MAX / 4 + 2, SIZE_MAX}) {
+    EXPECT_EQ(arena.alloc_array<std::uint32_t>(n), nullptr);
+    EXPECT_EQ(arena.alloc_array_aligned<std::uint32_t>(n, 64), nullptr);
+  }
+  // n * sizeof(T) fits, but the alignment slack on top does not.
+  EXPECT_EQ(arena.alloc_array_aligned<std::uint32_t>(SIZE_MAX / 4, 64),
+            nullptr);
+  EXPECT_EQ(arena.bytes_allocated(), 0u);
+  EXPECT_EQ(arena.chunk_count(), 0u);
+}
+
 TEST(ArenaTest, AlignedArraysSpanChunkBoundaries) {
   // Force chunk turnover with large aligned arrays: every array must be
   // aligned and fully writable wherever it lands.
