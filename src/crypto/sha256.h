@@ -1,8 +1,14 @@
 // SHA-256 (FIPS 180-4), implemented from scratch.
 //
-// Used for evidence integrity (chain of custody), disk imaging, and the
-// hash-based known-file search of Table-1 scene 18.  Streaming interface
-// plus one-shot helpers.
+// Used for evidence integrity (chain of custody), disk imaging, the
+// hash-based known-file search of Table-1 scene 18, and the verdict-cache
+// key legal::fingerprint.  Streaming interface plus one-shot helpers.
+//
+// Two block-compression kernels sit behind this class: a portable scalar
+// loop and one on the x86 SHA extensions (SHA-NI).  The kernel is chosen
+// once per process, on first use, from what the CPU supports; there is
+// no setting for it.  Both give identical digests (the scalar kernel is
+// the fallback and the reference tests hold the other to).
 
 #pragma once
 
@@ -45,7 +51,9 @@ class Sha256 {
   [[nodiscard]] static std::string hex(std::string_view s);
 
  private:
-  void process_block(const std::uint8_t* block) noexcept;
+  // Absorbs `nblocks` whole 64-byte blocks with the selected kernel.
+  void process_blocks(const std::uint8_t* blocks,
+                      std::size_t nblocks) noexcept;
 
   std::uint32_t h_[8];
   std::uint8_t buffer_[64];

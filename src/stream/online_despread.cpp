@@ -1,18 +1,18 @@
 #include "stream/online_despread.h"
 
 #include <cstdint>
+#include <string>
 
 namespace lexfor::stream {
 
 Result<std::size_t> OnlineDespreader::window_capacity(
     const watermark::CorrelationKernel& kernel, std::size_t max_offset) {
-  // The sum must not wrap, and its byte size (what the heap and arena
-  // paths allocate) must not either.
-  constexpr std::size_t kMaxDoubles = SIZE_MAX / sizeof(double);
-  if (kernel.length() > kMaxDoubles ||
-      max_offset > kMaxDoubles - kernel.length()) {
+  // Checked without forming the sum, which could wrap.
+  if (kernel.length() > kMaxWindow ||
+      max_offset > kMaxWindow - kernel.length()) {
     return InvalidArgument(
-        "OnlineDespreader: max_offset overflows the despread window");
+        "OnlineDespreader: the despread window exceeds " +
+        std::to_string(kMaxWindow) + " doubles");
   }
   return kernel.length() + max_offset;
 }

@@ -65,6 +65,12 @@ struct OnlineVerdict {
 
 class OnlineDespreader {
  public:
+  // The largest despread window: 2^24 doubles (128 MiB), the same bound
+  // RateRing::kMaxCapacity puts on a ring.  It keeps the window's
+  // allocation, on the heap or on an arena, a size that either fits or
+  // fails as a Status rather than a throw.
+  static constexpr std::size_t kMaxWindow = std::size_t{1} << 24;
+
   // The kernel must outlive this despreader (same lifetime rule as
   // ScanJob).  `max_offset` fixes the candidate window — and therefore
   // the Bonferroni threshold AND the memory footprint
@@ -79,8 +85,8 @@ class OnlineDespreader {
       double* storage = nullptr);
 
   // Doubles of storage the window needs: kernel.length() + max_offset,
-  // or InvalidArgument when that many doubles overflow std::size_t
-  // bytes.  The one place that sum is checked.
+  // or InvalidArgument when that exceeds kMaxWindow.  The one place
+  // that sum is checked.
   [[nodiscard]] static Result<std::size_t> window_capacity(
       const watermark::CorrelationKernel& kernel, std::size_t max_offset);
 

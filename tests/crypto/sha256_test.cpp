@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 namespace lexfor::crypto {
 namespace {
@@ -80,6 +81,31 @@ TEST(Sha256Test, BytesOverloadMatchesStringOverload) {
 }
 
 // RFC 4231 HMAC-SHA256 test vectors.
+// Every two-piece update() split must give the one-shot digest: covers
+// the buffered head, the whole-block fast path and the tail around the
+// 55/56 and 63/64 padding edges.
+TEST(Sha256Test, EverySplitPointMatchesOneShot) {
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 200; ++n) lengths.push_back(n);
+  for (std::size_t n : {55, 56, 63, 64, 119, 120, 128, 1024}) {
+    lengths.push_back(n);
+  }
+  Bytes msg(1024);
+  for (std::size_t i = 0; i < msg.size(); ++i) {
+    msg[i] = static_cast<std::uint8_t>(i * 131 + 7);
+  }
+  for (std::size_t n : lengths) {
+    const Bytes m(msg.begin(), msg.begin() + static_cast<std::ptrdiff_t>(n));
+    const auto expected = Sha256::hash(m);
+    for (std::size_t split = 0; split <= n; ++split) {
+      Sha256 h;
+      h.update(m.data(), split);
+      h.update(m.data() + split, n - split);
+      ASSERT_EQ(h.finish(), expected) << "length " << n << " split " << split;
+    }
+  }
+}
+
 TEST(HmacSha256Test, Rfc4231Case1) {
   const Bytes key(20, 0x0b);
   const auto d = hmac_sha256(key, to_bytes("Hi There"));

@@ -188,16 +188,16 @@ TEST(OnlineDespreaderTest, MemoryStaysConstantOverArbitrarilyLongStreams) {
 TEST(OnlineDespreaderTest, MaxOffsetWhoseWindowOverflowsIsRefused) {
   // The window is kernel.length() + max_offset doubles.  A max_offset
   // that wraps the sum (SIZE_MAX wraps it to n - 1 doubles, so pushing n
-  // bins would write past the window) or its byte size is refused
-  // before anything is allocated, on both the heap and the external
-  // storage path.
+  // bins would write past the window) or its byte size, or that only
+  // exceeds kMaxWindow, is refused before anything is allocated, on both
+  // the heap and the external storage path.
   const auto code = PnCode::m_sequence(5).value();  // n = 31
   const CorrelationKernel kernel(code);
   const std::size_t n = code.length();
   const std::size_t max_doubles = SIZE_MAX / sizeof(double);
   double storage[64] = {};
   for (const std::size_t max_offset :
-       {SIZE_MAX, SIZE_MAX - n + 1, max_doubles - n + 1}) {
+       {SIZE_MAX, SIZE_MAX - n + 1, max_doubles - n + 1, max_doubles - n}) {
     const auto capacity = OnlineDespreader::window_capacity(kernel, max_offset);
     ASSERT_FALSE(capacity.ok()) << max_offset;
     EXPECT_EQ(capacity.status().code(), StatusCode::kInvalidArgument);
@@ -206,10 +206,13 @@ TEST(OnlineDespreaderTest, MaxOffsetWhoseWindowOverflowsIsRefused) {
     EXPECT_EQ(heap.status().code(), StatusCode::kInvalidArgument);
     EXPECT_FALSE(OnlineDespreader::create(kernel, max_offset, storage).ok());
   }
-  // The largest window that fits is accepted (but not allocated here).
-  const auto largest = OnlineDespreader::window_capacity(kernel, max_doubles - n);
+  // The largest window, kMaxWindow doubles, is accepted (but not
+  // allocated here); one double more is refused.
+  constexpr std::size_t kMax = OnlineDespreader::kMaxWindow;
+  const auto largest = OnlineDespreader::window_capacity(kernel, kMax - n);
   ASSERT_TRUE(largest.ok());
-  EXPECT_EQ(largest.value(), max_doubles);
+  EXPECT_EQ(largest.value(), kMax);
+  EXPECT_FALSE(OnlineDespreader::window_capacity(kernel, kMax - n + 1).ok());
 
   // A fitting window still streams normally over external storage.
   auto online = OnlineDespreader::create(kernel, 2, storage).value();

@@ -126,6 +126,28 @@ TEST(TapSessionTest, MaxOffsetWhoseWindowOverflowsIsInvalidArgument) {
   }
 }
 
+TEST(TapSessionTest, ExtremeMaxOffsetIsInvalidArgumentOnBothPaths) {
+  // A window past OnlineDespreader::kMaxWindow doubles (but not wrapping
+  // std::size_t) must be a Status on both overloads, not a throw from
+  // the heap allocation or the arena, and must leave the arena as it was.
+  const auto code = PnCode::m_sequence(5).value();
+  const CorrelationKernel kernel(code);
+  const std::size_t n = kernel.length();
+  constexpr std::size_t kMax = OnlineDespreader::kMaxWindow;
+  ASSERT_EQ(OnlineDespreader::window_capacity(kernel, kMax - n).value(), kMax);
+  for (const std::size_t max_offset : {SIZE_MAX / 16, kMax, kMax - n + 1}) {
+    auto cfg = base_config(NodeId{1}, SimDuration::from_ms(100.0), 64);
+    cfg.max_offset = max_offset;
+    EXPECT_EQ(TapSession::create(kernel, cfg).status().code(),
+              StatusCode::kInvalidArgument);
+    util::Arena arena;
+    EXPECT_EQ(TapSession::create(kernel, cfg, arena).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(arena.bytes_allocated(), 0u);
+    EXPECT_EQ(arena.chunk_count(), 0u);
+  }
+}
+
 TEST(TapSessionTest, ExtremeRingCapacityIsInvalidArgumentOnBothPaths) {
   // SIZE_MAX / 4 + 2 counters wrap to an 8-byte slab when multiplied
   // out; SIZE_MAX wraps the heap path's allocation size.  Both must be
